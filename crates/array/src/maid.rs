@@ -13,7 +13,7 @@
 //! machine and explicit energy integration.
 
 use diskmodel::{DiskParams, PowerModel};
-use intradisk::service::{ArmState, LatencyScaling, Mechanics};
+use intradisk::service::{ArmSet, LatencyScaling, Mechanics, PlanTimes};
 use intradisk::IoRequest;
 use simkit::{ResponseStats, SimDuration, SimTime};
 
@@ -82,7 +82,7 @@ enum Spin {
 
 struct Member {
     mech: Mechanics,
-    arm: ArmState,
+    arm: ArmSet,
     spin: Spin,
     /// Drive is busy (serving or spinning up) until this instant.
     busy_until: SimTime,
@@ -107,7 +107,7 @@ pub fn replay(
     let mut members: Vec<Member> = (0..disks)
         .map(|_| {
             let mech = Mechanics::new(params);
-            let arm = mech.default_arms(1)[0];
+            let arm = ArmSet::from_arms(&mech.default_arms(1));
             Member {
                 mech,
                 arm,
@@ -178,11 +178,12 @@ pub fn replay(
         // which `busy_until` already serializes).
         // A member's single arm is never deconfigured, so planning
         // cannot fail; skip the request rather than panic if it does.
-        let Ok(plan) = m.mech.plan(
-            std::slice::from_ref(&m.arm),
+        let Ok(plan) = m.mech.plan_set_with_heads(
+            &m.arm,
+            1,
             local_lba,
             req.sectors,
-            start + overhead,
+            PlanTimes::at(start + overhead),
             LatencyScaling::none(),
         ) else {
             continue;
@@ -191,7 +192,7 @@ pub fn replay(
         m.energy_j += power.idle_w() * (overhead + plan.rotational).as_secs();
         m.energy_j += power.seek_w(1) * plan.seek.as_secs();
         m.energy_j += power.transfer_w() * plan.transfer.as_secs();
-        m.arm.cylinder = plan.end_cylinder;
+        m.arm.set_cylinder(0, plan.end_cylinder);
         m.busy_until = finish;
         m.spin = Spin::Active { idle_since: finish };
         response.record(finish.saturating_since(req.arrival).as_millis());

@@ -20,8 +20,7 @@ use array::Layout;
 use diskmodel::{presets, DiskParams};
 use experiments::{ArrayRunResult, DriveRunResult};
 use intradisk::freeblock::{dedicated_arm_throughput, FreeblockScheduler};
-use intradisk::overlap::{replay, OverlapConfig, OverlapMode};
-use intradisk::{ArmPlacement, DriveConfig, IoKind, IoRequest, QueuePolicy};
+use intradisk::{ArmPlacement, DriveConfig, IoKind, IoRequest, OverlapMode, QueuePolicy};
 use simkit::{Rng64, SimDuration, SimTime};
 use workload::{SyntheticSpec, Trace};
 
@@ -133,17 +132,17 @@ fn ablate_stripe() {
 fn ablate_overlap() {
     let params = presets::barracuda_es_750gb();
     let t = trace(6.0, 4_000);
-    let reqs = t.requests().to_vec();
     for (name, mode) in [
         ("overlap_baseline", OverlapMode::SingleArmMotion),
         ("overlap_multi_motion", OverlapMode::MultiMotion),
         ("overlap_multi_channel", OverlapMode::MultiChannel),
     ] {
+        let config = DriveConfig::sa(4).with_overlap(mode);
         bench(name, WARMUP, SAMPLES, || {
-            black_box(replay(&params, OverlapConfig::new(4, mode), &reqs))
+            black_box(run_drive(&params, config.clone(), &t))
         });
-        let m = replay(&params, OverlapConfig::new(4, mode), &reqs);
-        println!("{name}: mean {:.2} ms", m.response_time_ms.mean());
+        let r = run_drive(&params, config, &t);
+        println!("{name}: mean {:.2} ms", r.metrics.response_time_ms.mean());
     }
 }
 

@@ -24,8 +24,7 @@ use std::path::{Path, PathBuf};
 
 use array::Layout;
 use diskmodel::DriveError;
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::DriveConfig;
+use intradisk::{DriveConfig, OverlapMode};
 use telemetry::metrics::{export, jsonv, report, MetricsRecorder};
 
 use crate::configs::{hcsd_params, Scale};
@@ -171,12 +170,13 @@ pub fn export_metrics(dir: &Path, scale: Scale) -> Result<Vec<String>, ExportErr
 
     {
         let mut rec = MetricsRecorder::new();
-        overlap::replay_traced(
-            &params,
-            OverlapConfig::new(4, OverlapMode::MultiChannel),
-            trace.requests(),
-            &mut rec,
-        );
+        let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
+        run_drive_traced(&params, config, &trace, &mut rec).map_err(|source| {
+            ExportError::Simulation {
+                scenario: "overlap-multichannel",
+                source,
+            }
+        })?;
         write_snapshot(dir, "overlap-multichannel", &mut rec, &mut files)?;
     }
 

@@ -21,20 +21,20 @@
 use array::{ArrayController, Layout};
 use diskmodel::{DiskParams, DriveError};
 use intradisk::failure::FailureSchedule;
-use intradisk::{DiskDrive, DriveConfig, DriveMetrics, PowerBreakdown};
+use intradisk::{CompletedIo, DiskDrive, DriveConfig, DriveMetrics, PowerBreakdown};
 use simkit::{EventQueue, QueueStats, ResponseStats, SimDuration, SimTime};
 use telemetry::prof::{self, Phase};
 use telemetry::{NullRecorder, Recorder};
 use workload::{CountingSource, IntoRequestSource, RequestSource};
 
 /// Observer hooked into the drive run loop, called after every
-/// completed request with the drive's live metrics. This is how
+/// completed request with its record and the drive's live metrics. This is how
 /// heartbeats observe a run without the sim core touching threads or
 /// host time: the loop stays single-threaded and virtual-time-driven,
 /// the observer decides (on its own clock) whether to emit anything.
 pub trait RunObserver {
     /// Called once per completed request.
-    fn on_complete(&mut self, metrics: &DriveMetrics);
+    fn on_complete(&mut self, done: &CompletedIo, metrics: &DriveMetrics);
 }
 
 /// The no-op observer behind the plain entry points.
@@ -42,7 +42,7 @@ pub trait RunObserver {
 pub struct NullObserver;
 
 impl RunObserver for NullObserver {
-    fn on_complete(&mut self, _metrics: &DriveMetrics) {}
+    fn on_complete(&mut self, _done: &CompletedIo, _metrics: &DriveMetrics) {}
 }
 
 /// Result of replaying a workload on a single drive.
@@ -169,7 +169,6 @@ pub fn run_drive_observed<R: Recorder, O: RunObserver>(
 ) -> Result<DriveRunResult, DriveError> {
     let mut source = CountingSource::new(workload.into_source());
     let mut drive = DiskDrive::new(params, config);
-    let mut completion: Option<SimTime> = None;
     let mut end = SimTime::ZERO;
     // One-request lookahead: the only workload state the loop holds.
     let mut pending = {
@@ -177,6 +176,7 @@ pub fn run_drive_observed<R: Recorder, O: RunObserver>(
         source.next_request()
     };
     loop {
+        let completion = drive.next_completion();
         let take_arrival = match (pending.map(|r| r.arrival), completion) {
             (None, None) => break,
             (Some(a), Some(c)) => a <= c,
@@ -191,16 +191,13 @@ pub fn run_drive_observed<R: Recorder, O: RunObserver>(
             };
             failures.apply_due(&mut drive, r.arrival);
             end = end.max(r.arrival);
-            if let Some(f) = drive.submit_traced(r, r.arrival, rec)? {
-                completion = Some(f);
-            }
+            drive.submit_traced(r, r.arrival, rec)?;
         } else {
             let c = completion.expect("completion pending");
             failures.apply_due(&mut drive, c);
-            let (done, next) = drive.complete_traced(c, rec)?;
+            let (done, _) = drive.complete_traced(c, rec)?;
             end = end.max(done.completed);
-            completion = next;
-            obs.on_complete(drive.metrics());
+            obs.on_complete(&done, drive.metrics());
         }
     }
     drive.finalize(end);

@@ -22,8 +22,7 @@ use std::path::Path;
 
 use array::Layout;
 use diskmodel::{DiskParams, PowerModel};
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::DriveConfig;
+use intradisk::{DriveConfig, OverlapMode};
 use telemetry::{chrome_trace_json, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
 
@@ -164,17 +163,15 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         drops.push(("array-raid5", rec.dropped()));
     }
 
-    // The overlapped engine at its most concurrent: per-arm channels,
+    // The drive at its most concurrent overlap: per-arm channels,
     // so seeks and transfers from different actuators interleave on
     // the timeline.
     {
         let mut rec = RingRecorder::new();
-        overlap::replay_traced(
-            &params,
-            OverlapConfig::new(4, OverlapMode::MultiChannel),
-            trace.requests(),
-            &mut rec,
-        );
+        let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
+        run_drive_traced(&params, config, &trace, &mut rec).map_err(|source| {
+            ExportError::Simulation { scenario: "overlap-multichannel", source }
+        })?;
         write_scenario(dir, "overlap-multichannel", &rec, &powers, &mut files)?;
         drops.push(("overlap-multichannel", rec.dropped()));
     }

@@ -135,7 +135,7 @@ pub fn check_mean_seek() -> Result<ValidationRow, DriveError> {
 /// Check 3: `k` equally spaced assemblies parked on the cylinder cut
 /// the expected wait to `T/2k`.
 pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
-    use intradisk::service::{LatencyScaling, Mechanics};
+    use intradisk::service::{ArmSet, ArmState, LatencyScaling, Mechanics, PlanTimes};
     let params = presets::barracuda_es_750gb();
     let mech = Mechanics::new(&params);
     let mut rng = Rng64::new(13);
@@ -147,10 +147,17 @@ pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
         let arms: Vec<_> = mech
             .default_arms(k)
             .into_iter()
-            .map(|a| intradisk::service::ArmState { cylinder: cyl, ..a })
+            .map(|a| ArmState { cylinder: cyl, ..a })
             .collect();
         let now = SimTime::from_nanos(i as u64 * 1_734_967 + rng.below(1_000_000));
-        let plan = mech.plan(&arms, lba, 1, now, LatencyScaling::none())?;
+        let plan = mech.plan_set_with_heads(
+            &ArmSet::from_arms(&arms),
+            1,
+            lba,
+            1,
+            PlanTimes::at(now),
+            LatencyScaling::none(),
+        )?;
         total += plan.rotational.as_millis();
     }
     Ok(ValidationRow {

@@ -153,6 +153,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--actuators needs a value")?
                     .parse::<u32>()
                     .map_err(|e| format!("bad --actuators: {e}"))?;
+                if actuators == 0 {
+                    return Err("--actuators must be at least 1".to_string());
+                }
             }
             "--jobs" => {
                 jobs = it
@@ -170,6 +173,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--requests needs a value")?
                     .parse::<usize>()
                     .map_err(|e| format!("bad --requests: {e}"))?;
+                if v == 0 {
+                    return Err("--requests must be at least 1".to_string());
+                }
                 scale = scale.with_requests(v);
                 requests_set = true;
             }
@@ -415,7 +421,7 @@ impl HeartbeatObserver {
 }
 
 impl experiments::RunObserver for HeartbeatObserver {
-    fn on_complete(&mut self, metrics: &intradisk::DriveMetrics) {
+    fn on_complete(&mut self, _done: &intradisk::CompletedIo, metrics: &intradisk::DriveMetrics) {
         self.completed += 1;
         if self.completed & Self::CHECK_MASK != 0 {
             return;

@@ -4,11 +4,21 @@
 //! single-disk runner or an array controller) holds the event calendar
 //! and calls [`DiskDrive::submit`] when a request arrives and
 //! [`DiskDrive::complete`] when a previously returned completion time is
-//! reached. The drive services one media request at a time — the
-//! HC-SD-SA(n) design's twin restrictions (one arm in motion, one head
-//! transferring) make sequential service exact, with the parallelism
-//! benefit coming entirely from *which* arm is dispatched and how little
-//! it has to move and wait.
+//! reached. How many media requests the drive services at once is its
+//! [`OverlapMode`]:
+//!
+//! * [`OverlapMode::SingleArmMotion`] (the default) — the HC-SD-SA(n)
+//!   design's twin restrictions (one arm in motion, one head
+//!   transferring) make sequential service exact: one request at a
+//!   time, with the parallelism benefit coming entirely from *which*
+//!   arm is dispatched and how little it has to move and wait.
+//! * [`OverlapMode::MultiMotion`] and [`OverlapMode::MultiChannel`] —
+//!   the two relaxations of the technical-report version of the paper
+//!   (§7.2: "Our first extension allowed multiple arms to be in motion
+//!   simultaneously and the second extension allowed multiple channels
+//!   to transfer data simultaneously. We found that these two
+//!   extensions provide little benefit over the HC-SD-SA(n) design").
+//!   Several requests are in flight, one per busy arm.
 
 use diskmodel::{DiskParams, DriveError, PowerModel};
 use simkit::{SimDuration, SimTime, StatsMode};
@@ -18,13 +28,34 @@ use crate::cache::SegmentedCache;
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmSet, Mechanics};
+use crate::service::{ArmSet, Mechanics, PlanTimes};
 
 pub use crate::service::{ArmPlacement, LatencyScaling};
 
 /// Bus rate used for cache-hit transfers, bytes per millisecond
 /// (150 MB/s SATA-era sustained).
-const CACHE_HIT_BUS_BYTES_PER_MS: f64 = 150_000.0 * 1000.0 / 1000.0;
+const CACHE_HIT_BUS_BYTES_PER_MS: f64 = 150_000.0;
+
+/// How far a multi-actuator drive may overlap the service of requests
+/// across its assemblies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum OverlapMode {
+    /// One arm in motion at a time, one transfer at a time (the
+    /// HC-SD-SA(n) baseline): one request in flight.
+    #[default]
+    SingleArmMotion,
+    /// Concurrent seeks, single shared data channel: up to two requests
+    /// in flight, so one positions while the other transfers. A
+    /// transfer that finds the channel busy waits for it and then
+    /// re-aligns with its sector, possibly losing a revolution; binding
+    /// more requests would serialize them through the channel while
+    /// freezing scheduling choices made too early.
+    MultiMotion,
+    /// Concurrent seeks and per-arm channels: every live assembly
+    /// positions and transfers independently (an upper bound requiring
+    /// per-arm read/write channels).
+    MultiChannel,
+}
 
 /// Configuration of one drive instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +77,9 @@ pub struct DriveConfig {
     /// (the oracle, default); `Streaming` keeps bounded-memory sketches
     /// so 10⁸-request runs don't grow with run length.
     pub stats: StatsMode,
+    /// How many requests may be in service at once (the technical
+    /// report's relaxations of HC-SD-SA(n)).
+    pub overlap: OverlapMode,
 }
 
 impl DriveConfig {
@@ -68,6 +102,7 @@ impl DriveConfig {
             placement: ArmPlacement::EquallySpaced,
             heads_per_arm: 1,
             stats: StatsMode::Exact,
+            overlap: OverlapMode::SingleArmMotion,
         }
     }
 
@@ -118,6 +153,12 @@ impl DriveConfig {
         self.stats = stats;
         self
     }
+
+    /// Replaces the overlap mode (the technical report's relaxations).
+    pub fn with_overlap(mut self, overlap: OverlapMode) -> Self {
+        self.overlap = overlap;
+        self
+    }
 }
 
 impl Default for DriveConfig {
@@ -126,10 +167,11 @@ impl Default for DriveConfig {
     }
 }
 
+/// A request in service: its record is complete except for the
+/// moment it is handed back.
 #[derive(Debug, Clone)]
-struct InService {
+struct InFlight {
     done: CompletedIo,
-    finish: SimTime,
     /// Read-miss extents get installed in the cache at completion.
     install: Option<(u64, u32)>,
 }
@@ -142,9 +184,14 @@ pub struct DiskDrive {
     power: PowerModel,
     cache: SegmentedCache,
     arms: ArmSet,
+    /// Next instant the shared data channel is free (never set under
+    /// [`OverlapMode::MultiChannel`], whose arms have a channel each).
+    channel_free_at: SimTime,
     queue: PendingQueue,
     config: DriveConfig,
-    in_service: Option<InService>,
+    // simlint: allow(unbounded-sim-state) — capped at the live arm
+    // count by `max_in_flight`.
+    in_flight: Vec<InFlight>,
     idle_since: SimTime,
     metrics: DriveMetrics,
     capacity: u64,
@@ -164,11 +211,12 @@ impl DiskDrive {
             name: params.name().to_string(),
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
+            in_flight: Vec::with_capacity(arms.len()),
             arms,
+            channel_free_at: SimTime::ZERO,
             queue: PendingQueue::with_window(config.window),
             metrics: DriveMetrics::with_mode(config.actuators, config.stats),
             config,
-            in_service: None,
             idle_since: SimTime::ZERO,
             mech,
             capacity,
@@ -197,7 +245,7 @@ impl DiskDrive {
         &self.metrics
     }
 
-    /// Number of requests waiting in the queue (excluding the one in
+    /// Number of requests waiting in the queue (excluding those in
     /// service).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -210,11 +258,19 @@ impl DiskDrive {
 
     /// True if no request is in service or queued.
     pub fn is_idle(&self) -> bool {
-        self.in_service.is_none() && self.queue.is_empty()
+        self.in_flight.is_empty() && self.queue.is_empty()
+    }
+
+    /// The earliest completion time among the requests in service, if
+    /// any: the next instant the owner must call
+    /// [`DiskDrive::complete`] at.
+    pub fn next_completion(&self) -> Option<SimTime> {
+        self.in_flight.iter().map(|f| f.done.completed).min()
     }
 
     /// Marks actuator `index` as failed (SMART-predicted failure, §8).
-    /// The drive keeps operating on the remaining assemblies.
+    /// The drive keeps operating on the remaining assemblies; a request
+    /// the assembly is serving still completes.
     ///
     /// Returns `false` (and changes nothing) if the index is invalid or
     /// this is the last live assembly.
@@ -234,8 +290,8 @@ impl DiskDrive {
     }
 
     /// Submits a request at time `now` (which must not precede the
-    /// request's arrival time). Returns the completion time if the
-    /// drive was idle and service started immediately.
+    /// request's arrival time). Returns the completion time if service
+    /// started immediately; otherwise the request waits in the queue.
     ///
     /// Requests addressing beyond the device are wrapped modulo the
     /// capacity, as trace-replay tools conventionally do.
@@ -256,6 +312,12 @@ impl DiskDrive {
     /// (submission, queueing, dispatch, seek/rotation/transfer phases,
     /// cache interaction) is emitted to `rec`. With
     /// [`telemetry::NullRecorder`] this is exactly `submit`.
+    ///
+    /// The relaxed overlap modes emit no `PowerModeChange` events — with
+    /// several arms concurrently busy the drive has no single
+    /// well-defined mode; per-phase intervals (seek / rotational wait /
+    /// transfer) are still emitted per actuator — and report every
+    /// submission as queued before it is dispatched.
     pub fn submit_traced<R: Recorder>(
         &mut self,
         mut req: IoRequest,
@@ -282,7 +344,9 @@ impl DiskDrive {
                 },
             );
         }
-        if self.in_service.is_some() {
+        // The queue only holds work while the in-flight set is full, so
+        // a request that finds room starts at once.
+        if self.in_flight.len() >= self.max_in_flight() {
             self.queue.push(req);
             if R::ENABLED {
                 rec.record(
@@ -295,20 +359,32 @@ impl DiskDrive {
             }
             return Ok(None);
         }
-        // Close the idle span that ends now.
-        close_idle_span(&mut self.metrics.modes, self.idle_since, now);
+        if R::ENABLED && self.relaxed() {
+            // The relaxed modes' traces pass every submission through
+            // the (here empty) queue.
+            rec.record(
+                now,
+                TraceEvent::RequestQueued {
+                    req: req.id,
+                    depth: self.queue.len() as u32 + 1,
+                },
+            );
+        }
+        if self.in_flight.is_empty() {
+            // Close the idle span that ends now.
+            close_idle_span(&mut self.metrics.modes, self.idle_since, now);
+        }
         Ok(Some(self.start_service(req, now, 0, rec)?))
     }
 
-    /// Completes the in-service request (must be called exactly at the
+    /// Completes one in-service request due exactly at `now` (a
     /// completion time previously returned). Returns the completion
     /// record and, if another request was started, its completion time.
     ///
     /// # Errors
     /// Returns [`DriveError::NotInService`] if no request is in
-    /// service, or [`DriveError::WrongCompletionTime`] if `now` is not
-    /// the promised completion time (the in-service request is left
-    /// untouched in that case).
+    /// service, or [`DriveError::WrongCompletionTime`] if none is due at
+    /// `now` (the in-service requests are left untouched in that case).
     pub fn complete(
         &mut self,
         now: SimTime,
@@ -323,15 +399,13 @@ impl DiskDrive {
         now: SimTime,
         rec: &mut R,
     ) -> Result<(CompletedIo, Option<SimTime>), DriveError> {
-        let srv = match self.in_service.take() {
-            Some(srv) => srv,
-            None => return Err(DriveError::NotInService),
+        let Some(idx) = self.in_flight.iter().position(|f| f.done.completed == now) else {
+            return Err(match self.next_completion() {
+                None => DriveError::NotInService,
+                Some(promised) => DriveError::WrongCompletionTime { promised, at: now },
+            });
         };
-        if srv.finish != now {
-            let promised = srv.finish;
-            self.in_service = Some(srv);
-            return Err(DriveError::WrongCompletionTime { promised, at: now });
-        }
+        let srv = self.in_flight.swap_remove(idx);
         if let Some((lba, sectors)) = srv.install {
             self.cache.install(lba, sectors);
         }
@@ -344,10 +418,10 @@ impl DiskDrive {
         }
 
         let next = self.dispatch_next(now, rec)?;
-        if next.is_none() {
+        if self.in_flight.is_empty() {
             self.idle_since = now;
             if R::ENABLED {
-                rec.record(now, TraceEvent::PowerModeChange { mode: PowerMode::Idle });
+                self.trace_mode(rec, now, PowerMode::Idle);
                 for i in 0..self.arms.len() {
                     if !self.arms.is_failed(i) {
                         rec.record(now, TraceEvent::ActuatorIdle { actuator: i as u32 });
@@ -358,7 +432,37 @@ impl DiskDrive {
         Ok((srv.done, next))
     }
 
-    /// Chooses and starts the next queued request, if any.
+    /// True in the technical report's relaxed overlap modes.
+    fn relaxed(&self) -> bool {
+        self.config.overlap != OverlapMode::SingleArmMotion
+    }
+
+    /// Traces a drive-wide power-mode change. The relaxed modes emit
+    /// none: with several arms busy at once the drive has no single
+    /// well-defined mode.
+    fn trace_mode<R: Recorder>(&self, rec: &mut R, at: SimTime, mode: PowerMode) {
+        if !self.relaxed() {
+            rec.record(at, TraceEvent::PowerModeChange { mode });
+        }
+    }
+
+    /// Maximum requests in service at once: the baseline services one
+    /// request end-to-end (dispatching a second whose transfer must
+    /// queue behind the shared channel and then re-align rotationally
+    /// is a net loss, so firmware would not do it); see [`OverlapMode`]
+    /// for the relaxed modes. Each media request holds its arm until it
+    /// completes, so with fewer requests in service than this cap some
+    /// live arm is free.
+    fn max_in_flight(&self) -> usize {
+        match self.config.overlap {
+            OverlapMode::SingleArmMotion => 1,
+            OverlapMode::MultiMotion => self.arms.live_count().min(2),
+            OverlapMode::MultiChannel => self.arms.live_count(),
+        }
+    }
+
+    /// Chooses and starts the next queued request, if there is one and
+    /// room for it.
     // simlint: hot — the per-event SPTF dispatch loop; runs once per
     // completion for the whole simulated run.
     fn dispatch_next<R: Recorder>(
@@ -366,6 +470,9 @@ impl DiskDrive {
         now: SimTime,
         rec: &mut R,
     ) -> Result<Option<SimTime>, DriveError> {
+        if self.in_flight.len() >= self.max_in_flight() {
+            return Ok(None);
+        }
         let _scan_prof = telemetry::prof::scope(telemetry::prof::Phase::DispatchScan);
         self.prof.scans.bump();
         let policy = self.config.policy;
@@ -390,7 +497,7 @@ impl DiskDrive {
                     let loc = mech.geometry().locate(lba);
                     let mut dist: Option<u32> = None;
                     for i in 0..arms.len() {
-                        if arms.is_failed(i) {
+                        if !arms.is_free(i, now) {
                             continue;
                         }
                         prof.arm_visits.bump();
@@ -404,7 +511,7 @@ impl DiskDrive {
                 QueuePolicy::Sptf => {
                     let mut best: Option<SimDuration> = None;
                     for i in 0..arms.len() {
-                        if arms.is_failed(i) {
+                        if !arms.is_free(i, now) {
                             continue;
                         }
                         prof.arm_visits.bump();
@@ -450,7 +557,8 @@ impl DiskDrive {
         let queue_wait = now.saturating_since(req.arrival);
         let overhead = self.overhead;
 
-        // Cache check (reads only; writes are written through).
+        // Cache check (reads only; writes are written through). A hit
+        // needs no arm and no media channel.
         if req.kind.is_read() && self.cache.lookup(req.lba, req.sectors) {
             self.prof.cache_hits.bump();
             let bus = SimDuration::from_millis(
@@ -464,10 +572,7 @@ impl DiskDrive {
             self.metrics.modes.add(DriveMode::Transfer.key(), bus);
             if R::ENABLED {
                 rec.record(now, TraceEvent::CacheHit { req: req.id });
-                rec.record(
-                    now + overhead,
-                    TraceEvent::PowerModeChange { mode: PowerMode::Transfer },
-                );
+                self.trace_mode(rec, now + overhead, PowerMode::Transfer);
                 rec.record(
                     now + overhead,
                     TraceEvent::Transfer {
@@ -490,12 +595,7 @@ impl DiskDrive {
                 cache_hit: true,
                 actuator: 0,
             };
-            self.in_service = Some(InService {
-                done,
-                finish,
-                install: None,
-            });
-            return Ok(finish);
+            return Ok(self.admit(done, None));
         }
 
         if req.kind == IoKind::Write {
@@ -512,7 +612,11 @@ impl DiskDrive {
                 self.config.heads_per_arm,
                 req.lba,
                 req.sectors,
-                now + overhead,
+                PlanTimes {
+                    now,
+                    start: now + overhead,
+                    channel_free_at: self.channel_free_at,
+                },
                 self.config.scaling,
             )?
         };
@@ -536,10 +640,7 @@ impl DiskDrive {
             if req.kind.is_read() {
                 rec.record(now, TraceEvent::CacheMiss { req: req.id });
             }
-            rec.record(
-                seek_start,
-                TraceEvent::PowerModeChange { mode: PowerMode::Seek },
-            );
+            self.trace_mode(rec, seek_start, PowerMode::Seek);
             rec.record(
                 seek_start,
                 TraceEvent::SeekStart {
@@ -556,10 +657,7 @@ impl DiskDrive {
                     actuator: plan.actuator,
                 },
             );
-            rec.record(
-                seek_end,
-                TraceEvent::PowerModeChange { mode: PowerMode::RotationalWait },
-            );
+            self.trace_mode(rec, seek_end, PowerMode::RotationalWait);
             rec.record(
                 seek_end,
                 TraceEvent::RotWait {
@@ -568,10 +666,7 @@ impl DiskDrive {
                     dur: plan.rotational,
                 },
             );
-            rec.record(
-                xfer_start,
-                TraceEvent::PowerModeChange { mode: PowerMode::Transfer },
-            );
+            self.trace_mode(rec, xfer_start, PowerMode::Transfer);
             rec.record(
                 xfer_start,
                 TraceEvent::Transfer {
@@ -583,7 +678,16 @@ impl DiskDrive {
         }
 
         self.arms.set_cylinder(plan.actuator as usize, plan.end_cylinder);
+        self.arms.occupy(plan.actuator as usize, finish);
+        if self.config.overlap != OverlapMode::MultiChannel {
+            self.channel_free_at = finish;
+        }
 
+        // Concurrent spans may overlap in the relaxed modes; the seek
+        // span adds one VCM's power per moving arm, which is what the
+        // accumulator's per-mode times represent. Rotational wait
+        // includes any wait for the shared channel (the head is over
+        // the track, not transferring).
         self.metrics.modes.add(DriveMode::Idle.key(), overhead);
         self.metrics.modes.add(DriveMode::Seek.key(), plan.seek);
         self.metrics
@@ -606,12 +710,17 @@ impl DiskDrive {
             cache_hit: false,
             actuator: plan.actuator,
         };
-        self.in_service = Some(InService {
-            done,
-            finish,
-            install: req.kind.is_read().then_some((req.lba, req.sectors)),
-        });
-        Ok(finish)
+        Ok(self.admit(done, req.kind.is_read().then_some((req.lba, req.sectors))))
+    }
+
+    /// Adds a started request to the in-flight set; returns its
+    /// completion time.
+    fn admit(&mut self, done: CompletedIo, install: Option<(u64, u32)>) -> SimTime {
+        let finish = done.completed;
+        // simlint: allow(no-alloc-in-hot-path) — never reallocates: `new`
+        // reserves one slot per arm and `max_in_flight` caps the set below that.
+        self.in_flight.push(InFlight { done, install });
+        finish
     }
 
     /// Closes accounting at the end of a run: the span from the last
@@ -622,7 +731,7 @@ impl DiskDrive {
     /// Panics if a request is still in service.
     pub fn finalize(&mut self, end: SimTime) {
         assert!(
-            self.in_service.is_none(),
+            self.in_flight.is_empty(),
             "finalize with a request in service"
         );
         close_idle_span(&mut self.metrics.modes, self.idle_since, end);
@@ -659,11 +768,10 @@ mod tests {
         let mut arrivals = reqs;
         arrivals.sort_by_key(|r| r.arrival);
         let mut ai = 0;
-        let mut completion: Option<SimTime> = None;
         // Simple two-source loop: arrivals vs completions.
         loop {
             let arrival = arrivals.get(ai).map(|r| r.arrival);
-            let take_arrival = match (arrival, completion) {
+            let take_arrival = match (arrival, drive.next_completion()) {
                 (None, None) => break,
                 (Some(a), Some(c)) => a <= c,
                 (Some(_), None) => true,
@@ -672,18 +780,45 @@ mod tests {
             if take_arrival {
                 let r = arrivals[ai];
                 ai += 1;
-                if let Some(f) = drive.submit(r, r.arrival).expect("valid submit") {
-                    completion = Some(f);
-                }
+                drive.submit(r, r.arrival).expect("valid submit");
             } else {
-                let (d, next) = drive
-                    .complete(completion.expect("completion pending"))
-                    .expect("valid complete");
+                let due = drive.next_completion().expect("completion pending");
+                let (d, _) = drive.complete(due).expect("valid complete");
                 done.push(d);
-                completion = next;
             }
         }
         done
+    }
+
+    const MODES: [OverlapMode; 3] = [
+        OverlapMode::SingleArmMotion,
+        OverlapMode::MultiMotion,
+        OverlapMode::MultiChannel,
+    ];
+
+    /// Random reads with mean inter-arrival gap `mean_gap_ms`.
+    fn random_reads(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
+        let cap = drive(1).capacity_sectors();
+        let mut rng = simkit::Rng64::new(seed);
+        let mut t = SimTime::ZERO;
+        (0..n)
+            .map(|i| {
+                t += SimDuration::from_millis(rng.f64() * 2.0 * mean_gap_ms);
+                IoRequest::new(i, t, rng.below(cap), 8, IoKind::Read)
+            })
+            .collect()
+    }
+
+    fn run_mode(mode: OverlapMode, n: u32, reqs: &[IoRequest]) -> (DiskDrive, Vec<CompletedIo>) {
+        let params = presets::barracuda_es_750gb();
+        let mut d = DiskDrive::new(&params, DriveConfig::sa(n).with_overlap(mode));
+        let done = run_to_completion(&mut d, reqs.to_vec());
+        assert_eq!(done.len(), reqs.len());
+        (d, done)
+    }
+
+    fn mean_of(mode: OverlapMode, n: u32, reqs: &[IoRequest]) -> f64 {
+        run_mode(mode, n, reqs).0.metrics().response_time_ms.mean()
     }
 
     fn scattered(n: u64, cap: u64) -> Vec<IoRequest> {
@@ -945,29 +1080,163 @@ mod tests {
 
     #[test]
     fn complete_at_wrong_time_is_typed_error_and_recoverable() {
-        let mut d = drive(1);
-        let req = IoRequest::new(0, SimTime::ZERO, 123_456, 8, IoKind::Read);
-        let finish = d.submit(req, SimTime::ZERO).unwrap().unwrap();
-        let early = SimTime::from_millis(finish.as_millis() / 2.0);
-        let err = d.complete(early).unwrap_err();
-        assert_eq!(
-            err,
-            DriveError::WrongCompletionTime {
-                promised: finish,
-                at: early
-            }
-        );
-        // The request stays in service; completing at the right time works.
-        let (done, _) = d.complete(finish).unwrap();
-        assert_eq!(done.request.id, 0);
+        for mode in MODES {
+            let params = presets::barracuda_es_750gb();
+            let mut d = DiskDrive::new(&params, DriveConfig::sa(2).with_overlap(mode));
+            let req = IoRequest::new(0, SimTime::ZERO, 123_456, 8, IoKind::Read);
+            let finish = d.submit(req, SimTime::ZERO).unwrap().unwrap();
+            let early = SimTime::from_millis(finish.as_millis() / 2.0);
+            let err = d.complete(early).unwrap_err();
+            assert_eq!(
+                err,
+                DriveError::WrongCompletionTime {
+                    promised: finish,
+                    at: early
+                },
+                "{mode:?}"
+            );
+            // The request stays in service; completing at the right time works.
+            let (done, _) = d.complete(finish).unwrap();
+            assert_eq!(done.request.id, 0);
+            assert_eq!(d.complete(finish).unwrap_err(), DriveError::NotInService);
+        }
     }
 
     #[test]
     fn submit_before_arrival_is_typed_error() {
-        let mut d = drive(1);
-        let req = IoRequest::new(0, SimTime::from_millis(5.0), 64, 8, IoKind::Read);
-        let err = d.submit(req, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, DriveError::SubmitBeforeArrival { .. }));
-        assert!(d.is_idle(), "rejected request must not enter the queue");
+        for mode in MODES {
+            let params = presets::barracuda_es_750gb();
+            let mut d = DiskDrive::new(&params, DriveConfig::sa(2).with_overlap(mode));
+            let req = IoRequest::new(0, SimTime::from_millis(5.0), 64, 8, IoKind::Read);
+            let err = d.submit(req, SimTime::ZERO).unwrap_err();
+            assert!(matches!(err, DriveError::SubmitBeforeArrival { .. }), "{mode:?}");
+            assert!(d.is_idle(), "rejected request must not enter the queue");
+        }
+    }
+
+    #[test]
+    fn all_modes_complete_everything() {
+        let reqs = random_reads(500, 3.0, 1);
+        for mode in MODES {
+            let (d, done) = run_mode(mode, 4, &reqs);
+            let mut ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..500).collect::<Vec<_>>(), "{mode:?}");
+            assert!(d.is_idle());
+        }
+    }
+
+    #[test]
+    fn relaxations_ordering_under_load() {
+        let reqs = random_reads(800, 2.0, 2);
+        let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
+        let motion = mean_of(OverlapMode::MultiMotion, 4, &reqs);
+        let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
+        // Per-arm channels are a strict superset of capability.
+        assert!(channel <= motion, "multi-channel {channel} vs multi-motion {motion}");
+        assert!(channel <= base, "multi-channel {channel} vs base {base}");
+        // Position-ahead pipelining must stay within a whisker of the
+        // baseline even when the shared channel limits it.
+        assert!(motion <= base * 1.15, "multi-motion {motion} vs base {base}");
+    }
+
+    #[test]
+    fn relaxations_provide_little_benefit_when_sa_meets_demand() {
+        // The TR's finding: at intensities HC-SD-SA(n) can already
+        // sustain, the extensions buy little (response is dominated by
+        // one request's own positioning either way). Under saturation
+        // the extra concurrency does help — which is why the assertion
+        // is made at a sustainable load.
+        let reqs = random_reads(1_500, 12.0, 3);
+        let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
+        let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
+        assert!(
+            channel > base * 0.6,
+            "extensions should buy little at sustainable load: {channel} vs {base}"
+        );
+        assert!(channel <= base * 1.02, "but they must not hurt");
+    }
+
+    #[test]
+    fn single_actuator_modes_equivalent() {
+        // With one arm there is nothing to overlap; all modes coincide,
+        // record for record.
+        let reqs = random_reads(400, 4.0, 4);
+        let (_, base) = run_mode(OverlapMode::SingleArmMotion, 1, &reqs);
+        for mode in [OverlapMode::MultiMotion, OverlapMode::MultiChannel] {
+            let (_, other) = run_mode(mode, 1, &reqs);
+            assert_eq!(base, other, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn is_idle_reflects_state() {
+        let params = presets::barracuda_es_750gb();
+        let mut d = DiskDrive::new(&params, DriveConfig::sa(2).with_overlap(OverlapMode::MultiMotion));
+        let r0 = IoRequest::new(0, SimTime::ZERO, 1000, 8, IoKind::Read);
+        let r1 = IoRequest::new(1, SimTime::ZERO, 900_000_000, 8, IoKind::Read);
+        let r2 = IoRequest::new(2, SimTime::ZERO, 5_000_000, 8, IoKind::Read);
+        assert!(d.submit(r0, SimTime::ZERO).unwrap().is_some());
+        assert!(d.submit(r1, SimTime::ZERO).unwrap().is_some(), "second arm starts at once");
+        assert!(d.submit(r2, SimTime::ZERO).unwrap().is_none(), "third request waits");
+        assert_eq!(d.queue_len(), 1);
+        assert!(!d.is_idle());
+        let mut done = Vec::new();
+        while let Some(t) = d.next_completion() {
+            done.push(d.complete(t).unwrap().0);
+        }
+        assert_eq!(done.len(), 3);
+        assert!(d.is_idle());
+        assert_ne!(done[0].actuator, done[1].actuator);
+    }
+
+    #[test]
+    fn submit_and_complete_start_at_most_one_request_each() {
+        // Saturating MultiChannel load with repeated LBAs, so cache hits
+        // (which hold no arm) share the in-flight set with media accesses.
+        let params = presets::barracuda_es_750gb();
+        let mut d = DiskDrive::new(&params, DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel));
+        let cap = d.max_in_flight();
+        let mut rng = simkit::Rng64::new(9);
+        let mut t = SimTime::ZERO;
+        let reqs: Vec<IoRequest> = (0..2_000u64)
+            .map(|i| {
+                t += SimDuration::from_millis(rng.f64() * 2.0);
+                let lba = if rng.chance(0.4) { 4096 * rng.below(16) } else { rng.below(1_400_000_000) };
+                IoRequest::new(i, t, lba, 8, IoKind::Read)
+            })
+            .collect();
+        let (mut ai, mut completed) = (0, 0);
+        loop {
+            let arrival = reqs.get(ai).map(|r| r.arrival);
+            let take_arrival = match (arrival, d.next_completion()) {
+                (None, None) => break,
+                (Some(a), Some(c)) => a <= c,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+            };
+            let (flying, queued) = (d.in_flight.len(), d.queue_len());
+            if take_arrival {
+                let r = reqs[ai];
+                ai += 1;
+                match d.submit(r, r.arrival).unwrap() {
+                    Some(_) => assert_eq!((d.in_flight.len(), d.queue_len()), (flying + 1, queued)),
+                    None => assert_eq!((d.in_flight.len(), d.queue_len()), (flying, queued + 1)),
+                }
+            } else {
+                let now = d.next_completion().unwrap();
+                let (done, next) = d.complete(now).unwrap();
+                completed += 1;
+                assert_eq!(done.completed, now);
+                assert_eq!(d.metrics().completed, completed);
+                let started = usize::from(next.is_some());
+                assert_eq!(d.in_flight.len(), flying - 1 + started);
+                assert_eq!(d.queue_len(), queued - started);
+            }
+            assert!(d.queue_len() == 0 || d.in_flight.len() == cap, "queue holds work below the cap");
+        }
+        assert_eq!(completed, 2_000);
+        assert!(d.metrics().cache_hits > 100, "cache hits {}", d.metrics().cache_hits);
+        assert!(d.queue_peak() > 10, "load did not saturate");
     }
 }

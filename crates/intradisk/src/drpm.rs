@@ -22,7 +22,7 @@ use simkit::{ResponseStats, SimDuration, SimTime};
 
 use crate::request::{IoKind, IoRequest};
 use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmState, LatencyScaling, Mechanics};
+use crate::service::{ArmSet, ArmState, LatencyScaling, Mechanics, PlanTimes};
 
 /// Configuration of the DRPM policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,11 +102,11 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
         power: PowerModel::new(&low_params),
     };
 
-    let mut arm = ArmState {
+    let mut arm = ArmSet::from_arms(&[ArmState {
         azimuth: 0.0,
         cylinder: 0,
         failed: false,
-    };
+    }]);
     let mut queue = PendingQueue::with_window(DEFAULT_WINDOW);
     let mut response = ResponseStats::exact();
     let mut energy_j = 0.0;
@@ -173,10 +173,16 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
         let speed = if at_low { &low } else { &full };
         let start = now + overhead;
         let mech = &speed.mech;
-        let arm_ref = arm;
+        let (cylinder, azimuth) = (arm.cylinder(0), arm.azimuth(0));
         let cost = |r: &IoRequest| {
-            let (s, rot) =
-                mech.positioning_for_arm(&arm_ref, r.lba % capacity, start, LatencyScaling::none());
+            let (s, rot) = mech.positioning_at(
+                cylinder,
+                azimuth,
+                1,
+                r.lba % capacity,
+                start,
+                LatencyScaling::none(),
+            );
             s + rot
         };
         // The queue was checked non-empty above and the single arm is
@@ -186,10 +192,14 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
             break;
         };
         let lba = req.lba % capacity;
-        let Ok(plan) = speed
-            .mech
-            .plan(std::slice::from_ref(&arm), lba, req.sectors, start, LatencyScaling::none())
-        else {
+        let Ok(plan) = speed.mech.plan_set_with_heads(
+            &arm,
+            1,
+            lba,
+            req.sectors,
+            PlanTimes::at(start),
+            LatencyScaling::none(),
+        ) else {
             break;
         };
         let finish = start + plan.total();
@@ -201,7 +211,7 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
         if at_low {
             low_time += finish - now;
         }
-        arm.cylinder = plan.end_cylinder;
+        arm.set_cylinder(0, plan.end_cylinder);
         let _ = req.kind == IoKind::Write; // writes and reads cost alike here
         response.record((finish - req.arrival).as_millis());
         now = finish;

@@ -20,7 +20,9 @@
 //! * [`sched`] — queueing policies: FCFS, SSTF, and SPTF \[42\].
 //! * [`service`] — positioning/transfer planning for one request on a
 //!   chosen arm assembly (the mechanical inner loop).
-//! * [`drive`] — the drive state machine gluing the above together.
+//! * [`drive`] — the drive state machine gluing the above together: one
+//!   engine for HC-SD-SA(n) and, through [`DriveConfig::overlap`], the
+//!   technical report's multi-motion and multi-channel relaxations.
 //! * [`metrics`] — per-drive statistics and the four-mode power
 //!   attribution of Figures 3 and 6.
 //! * [`failure`] — SMART-style actuator deconfiguration (§8).
@@ -63,15 +65,13 @@ pub mod drpm;
 pub mod failure;
 pub mod freeblock;
 pub mod metrics;
-pub mod overlap;
 pub mod request;
 pub mod sched;
 pub mod service;
 
 pub use cache::SegmentedCache;
 pub use dash::DashConfig;
-pub use drive::{ArmPlacement, DiskDrive, DriveConfig, LatencyScaling};
+pub use drive::{ArmPlacement, DiskDrive, DriveConfig, LatencyScaling, OverlapMode};
 pub use metrics::{DriveMetrics, DriveMode, PowerBreakdown};
-pub use overlap::{OverlapConfig, OverlapMode, OverlappedDrive};
 pub use request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 pub use sched::QueuePolicy;

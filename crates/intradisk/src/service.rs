@@ -127,20 +127,27 @@ pub struct ArmState {
 /// scans on densely packed cache lines instead of striding over
 /// `ArmState` records. The scalar [`ArmState`] remains the exchange
 /// type for construction, calibration studies, and single-arm callers.
+///
+/// Each assembly also carries the instant it is next free: the finish
+/// of the access it is serving, or [`SimTime::MAX`] once deconfigured,
+/// so one comparison answers both "is it live" and "is it idle".
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmSet {
     azimuth: Vec<f64>,
     cylinder: Vec<u32>,
-    failed: Vec<bool>,
+    free_at: Vec<SimTime>,
 }
 
 impl ArmSet {
-    /// Builds the set from per-assembly states.
+    /// Builds the set from per-assembly states (all idle).
     pub fn from_arms(arms: &[ArmState]) -> Self {
         ArmSet {
             azimuth: arms.iter().map(|a| a.azimuth).collect(),
             cylinder: arms.iter().map(|a| a.cylinder).collect(),
-            failed: arms.iter().map(|a| a.failed).collect(),
+            free_at: arms
+                .iter()
+                .map(|a| if a.failed { SimTime::MAX } else { SimTime::ZERO })
+                .collect(),
         }
     }
 
@@ -156,7 +163,7 @@ impl ArmSet {
 
     /// Number of assemblies still configured.
     pub fn live_count(&self) -> usize {
-        self.failed.iter().filter(|&&f| !f).count()
+        self.free_at.iter().filter(|&&t| t != SimTime::MAX).count()
     }
 
     /// The assembly's fixed mounting azimuth.
@@ -174,14 +181,25 @@ impl ArmSet {
         self.cylinder[idx] = cylinder;
     }
 
+    /// True if the assembly is live and idle at `now`.
+    pub fn is_free(&self, idx: usize, now: SimTime) -> bool {
+        self.free_at[idx] <= now
+    }
+
+    /// Marks a free assembly busy until `until` (the access it was
+    /// dispatched for finishes then).
+    pub fn occupy(&mut self, idx: usize, until: SimTime) {
+        self.free_at[idx] = until;
+    }
+
     /// True once the assembly has been deconfigured.
     pub fn is_failed(&self, idx: usize) -> bool {
-        self.failed[idx]
+        self.free_at[idx] == SimTime::MAX
     }
 
     /// Deconfigures the assembly (§8's graceful degradation).
     pub fn set_failed(&mut self, idx: usize) {
-        self.failed[idx] = true;
+        self.free_at[idx] = SimTime::MAX;
     }
 
     /// The assembly's state as a scalar record (telemetry, tests).
@@ -189,7 +207,31 @@ impl ArmSet {
         ArmState {
             azimuth: self.azimuth[idx],
             cylinder: self.cylinder[idx],
-            failed: self.failed[idx],
+            failed: self.is_failed(idx),
+        }
+    }
+}
+
+/// The instants that bound one planned media access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanTimes {
+    /// The dispatch instant: only assemblies free by now are candidates.
+    pub now: SimTime,
+    /// When the seek begins (after the controller overhead).
+    pub start: SimTime,
+    /// The earliest the shared data channel can carry the transfer; a
+    /// head that arrives sooner waits for it and then for its sector to
+    /// come round again.
+    pub channel_free_at: SimTime,
+}
+
+impl PlanTimes {
+    /// An access dispatched and started at `start` with the channel free.
+    pub fn at(start: SimTime) -> Self {
+        PlanTimes {
+            now: start,
+            start,
+            channel_free_at: SimTime::ZERO,
         }
     }
 }
@@ -257,47 +299,19 @@ impl Mechanics {
     }
 
     /// Positioning cost (seek + rotational wait) of serving the block
-    /// at `lba` with assembly `arm`, starting at `start`.
-    pub fn positioning_for_arm(
-        &self,
-        arm: &ArmState,
-        lba: u64,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> (SimDuration, SimDuration) {
-        self.positioning_for_arm_heads(arm, 1, lba, start, scaling)
-    }
-
-    /// Like [`positioning_for_arm`](Self::positioning_for_arm) but for
-    /// an arm carrying `heads` heads per surface — the taxonomy's H
+    /// at `lba` with an assembly parked over `cylinder` at `azimuth`,
+    /// starting at `start`.
+    ///
+    /// An arm may carry `heads` heads per surface — the taxonomy's H
     /// dimension (§4 Level 4, Figure 1(b): heads "equidistant from the
     /// axis of actuation"). The heads share the arm's radial position,
     /// so the seek is unchanged; the rotational wait is the minimum
-    /// over the heads' azimuths.
-    ///
-    /// Crucially, heads mounted on *one* arm sit close together: their
-    /// angular separation as seen from the spindle is only
-    /// [`HEAD_ANGULAR_SEPARATION`] of a revolution, not `1/heads` — the
-    /// geometric reason the paper calls H-parallelism fine-grained and
-    /// prefers the A dimension, whose assemblies mount anywhere around
-    /// the enclosure.
-    ///
-    /// # Panics
-    /// Panics if `heads == 0`.
-    pub fn positioning_for_arm_heads(
-        &self,
-        arm: &ArmState,
-        heads: u32,
-        lba: u64,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> (SimDuration, SimDuration) {
-        self.positioning_at(arm.cylinder, arm.azimuth, heads, lba, start, scaling)
-    }
-
-    /// The scalar positioning core shared by the record-based and
-    /// struct-of-arrays call paths: identical arithmetic in identical
-    /// order, so both paths are bit-reproducible against each other.
+    /// over the heads' azimuths. Heads mounted on *one* arm sit close
+    /// together: their angular separation as seen from the spindle is
+    /// only [`HEAD_ANGULAR_SEPARATION`] of a revolution, not `1/heads` —
+    /// the geometric reason the paper calls H-parallelism fine-grained
+    /// and prefers the A dimension, whose assemblies mount anywhere
+    /// around the enclosure.
     ///
     /// # Panics
     /// Panics if `heads == 0`.
@@ -315,16 +329,29 @@ impl Mechanics {
         let dist = cylinder.abs_diff(loc.cylinder);
         let seek = self.seek.seek_time(dist).scale(scaling.seek);
         let angle = self.geometry.sector_angle(loc);
-        let rot = (0..heads)
+        let rot = self.rotational_wait(angle, azimuth, heads, start + seek, scaling);
+        (seek, rot)
+    }
+
+    /// Scaled wait, from `at`, until the first of an arm's `heads`
+    /// heads is over `angle`.
+    fn rotational_wait(
+        &self,
+        angle: f64,
+        azimuth: f64,
+        heads: u32,
+        at: SimTime,
+        scaling: LatencyScaling,
+    ) -> SimDuration {
+        (0..heads)
             .map(|h| {
                 let head_azimuth =
                     (azimuth + h as f64 * HEAD_ANGULAR_SEPARATION).rem_euclid(1.0);
-                self.rotation.wait_until_under(angle, head_azimuth, start + seek)
+                self.rotation.wait_until_under(angle, head_azimuth, at)
             })
             .min()
             .unwrap_or(SimDuration::ZERO)
-            .scale(scaling.rotational);
-        (seek, rot)
+            .scale(scaling.rotational)
     }
 
     /// Transfer time for `sectors` starting at `lba`: per-track rotation
@@ -354,63 +381,15 @@ impl Mechanics {
         total
     }
 
-    /// Plans service of `(lba, sectors)` starting at `start`: picks the
-    /// live assembly with minimum positioning time.
+    /// Plans service of `(lba, sectors)`: picks the assembly, among
+    /// those free at `times.now`, with minimum positioning time from
+    /// `times.start`, scanning in index order with a strict `<` so ties
+    /// go to the first minimum. A head that reaches its track before
+    /// `times.channel_free_at` waits for the channel and then for its
+    /// sector; that wait is part of the plan's `rotational`.
     ///
     /// # Errors
-    /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
-    ///
-    /// # Panics
-    /// Panics if `heads == 0`.
-    pub fn plan(
-        &self,
-        arms: &[ArmState],
-        lba: u64,
-        sectors: u32,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> Result<ServicePlan, DriveError> {
-        self.plan_with_heads(arms, 1, lba, sectors, start, scaling)
-    }
-
-    /// Like [`plan`](Self::plan) for arms carrying `heads` heads per
-    /// surface (the `D1 An S1 Hm` family).
-    ///
-    /// # Errors
-    /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
-    ///
-    /// # Panics
-    /// Panics if `heads == 0`.
-    pub fn plan_with_heads(
-        &self,
-        arms: &[ArmState],
-        heads: u32,
-        lba: u64,
-        sectors: u32,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> Result<ServicePlan, DriveError> {
-        let (best_idx, seek, rot) = arms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.failed)
-            .map(|(i, a)| {
-                let (s, r) = self.positioning_for_arm_heads(a, heads, lba, start, scaling);
-                (i, s, r)
-            })
-            .min_by_key(|&(_, s, r)| s + r)
-            .ok_or(DriveError::NoLiveArm)?;
-        self.finish_plan(best_idx, seek, rot, lba, sectors)
-    }
-
-    /// [`plan_with_heads`](Self::plan_with_heads) over the
-    /// struct-of-arrays [`ArmSet`] — the hot path used by the drive
-    /// engines. Scans the packed cylinder/azimuth/failed arrays in
-    /// index order with a strict `<`, which picks the same
-    /// first-minimum assembly as the slice path's `min_by_key`.
-    ///
-    /// # Errors
-    /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
+    /// Returns [`DriveError::NoLiveArm`] if no assembly is free.
     ///
     /// # Panics
     /// Panics if `heads == 0`.
@@ -420,38 +399,39 @@ impl Mechanics {
         heads: u32,
         lba: u64,
         sectors: u32,
-        start: SimTime,
+        times: PlanTimes,
         scaling: LatencyScaling,
     ) -> Result<ServicePlan, DriveError> {
         let mut best: Option<(usize, SimDuration, SimDuration)> = None;
         for i in 0..arms.len() {
-            if arms.is_failed(i) {
+            if !arms.is_free(i, times.now) {
                 continue;
             }
-            let (s, r) = self.positioning_at(
+            let (s, mut r) = self.positioning_at(
                 arms.cylinder(i),
                 arms.azimuth(i),
                 heads,
                 lba,
-                start,
+                times.start,
                 scaling,
             );
+            let ready = times.start + s;
+            if times.channel_free_at > ready {
+                let angle = self.geometry.sector_angle(self.geometry.locate(lba));
+                r = (times.channel_free_at - ready)
+                    + self.rotational_wait(
+                        angle,
+                        arms.azimuth(i),
+                        heads,
+                        times.channel_free_at,
+                        scaling,
+                    );
+            }
             if best.is_none_or(|(_, bs, br)| s + r < bs + br) {
                 best = Some((i, s, r));
             }
         }
         let (best_idx, seek, rot) = best.ok_or(DriveError::NoLiveArm)?;
-        self.finish_plan(best_idx, seek, rot, lba, sectors)
-    }
-
-    fn finish_plan(
-        &self,
-        best_idx: usize,
-        seek: SimDuration,
-        rot: SimDuration,
-        lba: u64,
-        sectors: u32,
-    ) -> Result<ServicePlan, DriveError> {
         let transfer = self.transfer_time(lba, sectors);
         let segs = self.geometry.segments(lba, sectors);
         let end_cylinder = segs
@@ -494,6 +474,10 @@ mod tests {
         Mechanics::new(&presets::barracuda_es_750gb())
     }
 
+    fn plan(m: &Mechanics, arms: &[ArmState], lba: u64, sectors: u32, at: SimTime) -> Result<ServicePlan, DriveError> {
+        m.plan_set_with_heads(&ArmSet::from_arms(arms), 1, lba, sectors, PlanTimes::at(at), LatencyScaling::none())
+    }
+
     #[test]
     fn zero_distance_seek_is_free() {
         let m = mech();
@@ -502,7 +486,8 @@ mod tests {
             cylinder: m.geometry().locate(0).cylinder,
             failed: false,
         };
-        let (seek, _rot) = m.positioning_for_arm(&arm, 0, SimTime::ZERO, LatencyScaling::none());
+        let (seek, _rot) =
+            m.positioning_at(arm.cylinder, arm.azimuth, 1, 0, SimTime::ZERO, LatencyScaling::none());
         assert_eq!(seek, SimDuration::ZERO);
     }
 
@@ -516,10 +501,11 @@ mod tests {
         };
         let lba = m.geometry().total_sectors() / 2;
         let t = SimTime::from_millis(1.0);
-        let (s1, _) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::none());
-        let (s2, _) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::seek_only(0.5));
+        let at = |scaling| m.positioning_at(arm.cylinder, arm.azimuth, 1, lba, t, scaling);
+        let (s1, _) = at(LatencyScaling::none());
+        let (s2, _) = at(LatencyScaling::seek_only(0.5));
         assert_eq!(s2, s1.scale(0.5));
-        let (_, r0) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::rotational_only(0.0));
+        let (_, r0) = at(LatencyScaling::rotational_only(0.0));
         assert_eq!(r0, SimDuration::ZERO);
     }
 
@@ -540,7 +526,7 @@ mod tests {
                 failed: false,
             },
         ];
-        let plan = m.plan(&arms, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
+        let plan = plan(&m, &arms, target, 8, SimTime::ZERO).unwrap();
         assert_eq!(plan.actuator, 1);
         assert_eq!(plan.seek, SimDuration::ZERO);
     }
@@ -562,7 +548,7 @@ mod tests {
                 failed: true,
             },
         ];
-        let plan = m.plan(&arms, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
+        let plan = plan(&m, &arms, target, 8, SimTime::ZERO).unwrap();
         assert_eq!(plan.actuator, 0);
         assert!(plan.seek > SimDuration::ZERO);
     }
@@ -575,9 +561,7 @@ mod tests {
             cylinder: 0,
             failed: true,
         }];
-        let err = m
-            .plan(&arms, 0, 8, SimTime::ZERO, LatencyScaling::none())
-            .unwrap_err();
+        let err = plan(&m, &arms, 0, 8, SimTime::ZERO).unwrap_err();
         assert_eq!(err, DriveError::NoLiveArm);
     }
 
@@ -590,8 +574,8 @@ mod tests {
             for i in 0..50u64 {
                 let lba = (i * 16_777_213) % m.geometry().total_sectors();
                 let t = SimTime::from_millis(i as f64 * 0.93);
-                let p_n = m.plan(&arms_n, lba, 8, t, LatencyScaling::none()).unwrap();
-                let p_1 = m.plan(&arms_1, lba, 8, t, LatencyScaling::none()).unwrap();
+                let p_n = plan(&m, &arms_n, lba, 8, t).unwrap();
+                let p_1 = plan(&m, &arms_1, lba, 8, t).unwrap();
                 assert!(
                     p_n.positioning() <= p_1.positioning(),
                     "n={n} lba={lba}: {} > {}",
@@ -619,7 +603,7 @@ mod tests {
                     ..*a
                 })
                 .collect();
-            let p = m.plan(&parked, lba, 1, SimTime::from_millis(i as f64 * 1.31), LatencyScaling::none()).unwrap();
+            let p = plan(&m, &parked, lba, 1, SimTime::from_millis(i as f64 * 1.31)).unwrap();
             assert!(
                 p.rotational.as_millis() <= quarter + 1e-3,
                 "rot {} > quarter {quarter}",
@@ -644,6 +628,45 @@ mod tests {
         let within = m.transfer_time(0, 8);
         let crossing = m.transfer_time(spt as u64 - 4, 8);
         assert!(crossing > within);
+    }
+
+    #[test]
+    fn plan_skips_busy_arm_until_it_frees() {
+        let m = mech();
+        let target = m.geometry().total_sectors() - 1;
+        let target_cyl = m.geometry().locate(target).cylinder;
+        let mut set = ArmSet::from_arms(&[
+            ArmState { azimuth: 0.0, cylinder: 0, failed: false },
+            ArmState { azimuth: 0.5, cylinder: target_cyl, failed: false },
+        ]);
+        let busy_until = SimTime::from_millis(3.0);
+        set.occupy(1, busy_until);
+        let at = |now| PlanTimes::at(now);
+        let p = m.plan_set_with_heads(&set, 1, target, 8, at(SimTime::ZERO), LatencyScaling::none());
+        assert_eq!(p.unwrap().actuator, 0, "busy arm is not a candidate");
+        let p = m.plan_set_with_heads(&set, 1, target, 8, at(busy_until), LatencyScaling::none());
+        assert_eq!(p.unwrap().actuator, 1, "free again at its busy-until time");
+    }
+
+    #[test]
+    fn busy_channel_delays_transfer_and_counts_as_rotational() {
+        let m = mech();
+        let arms = ArmSet::from_arms(&m.default_arms(1));
+        let lba = m.geometry().total_sectors() / 3;
+        let start = SimTime::from_millis(1.0);
+        let free = m
+            .plan_set_with_heads(&arms, 1, lba, 8, PlanTimes::at(start), LatencyScaling::none())
+            .unwrap();
+        let gate = start + free.positioning() + SimDuration::from_millis(2.0);
+        let times = PlanTimes { now: start, start, channel_free_at: gate };
+        let gated = m.plan_set_with_heads(&arms, 1, lba, 8, times, LatencyScaling::none()).unwrap();
+        assert_eq!(gated.seek, free.seek);
+        assert!(start + gated.positioning() >= gate, "transfer starts before the channel frees");
+        assert!(gated.rotational < gate - start + m.rotation().period());
+        // A gate already passed when the head arrives changes nothing.
+        let early = PlanTimes { now: start, start, channel_free_at: start };
+        let p = m.plan_set_with_heads(&arms, 1, lba, 8, early, LatencyScaling::none()).unwrap();
+        assert_eq!(p, free);
     }
 
     #[test]
@@ -680,8 +703,8 @@ mod tests {
                 arms.iter().map(|a| ArmState { cylinder: cyl, ..*a }).collect()
             };
             let now = SimTime::from_millis(i as f64 * 1.17);
-            let ps = m.plan(&park(&spaced), lba, 1, now, LatencyScaling::none()).unwrap();
-            let pc = m.plan(&park(&stacked), lba, 1, now, LatencyScaling::none()).unwrap();
+            let ps = plan(&m, &park(&spaced), lba, 1, now).unwrap();
+            let pc = plan(&m, &park(&stacked), lba, 1, now).unwrap();
             assert!(ps.rotational <= pc.rotational, "spaced worse at {i}");
             spaced_total += ps.rotational.as_millis();
             stacked_total += pc.rotational.as_millis();

@@ -2,7 +2,8 @@
 # Pre-PR verification gate.
 #
 # Runs the tier-1 check from ROADMAP.md (release build + full test
-# suite), with the simlint gates between build and tests (the workspace
+# suite), with a compile check of every target (`cargo test` never
+# builds the benches) and the simlint gates between build and tests (the workspace
 # must be finding-free against the committed simlint.baseline.json —
 # new findings fail, stale baseline entries fail — and the JSON
 # diagnostics must be byte-identical across two runs),
@@ -40,6 +41,9 @@ trap 'rm -rf "$sweep_dir"' EXIT
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
+
+echo "==> gate: every target compiles (benches and examples included)"
+cargo check --workspace --all-targets --offline
 
 echo "==> gate: simlint --deny-all against simlint.baseline.json"
 cargo run --release -p simlint -- --deny-all --baseline simlint.baseline.json

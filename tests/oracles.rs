@@ -11,10 +11,18 @@
 //!   single-actuator drive,
 //! * arm-assembly placement is irrelevant when there is only one arm,
 //! * scaling RPM moves latency (and spindle power) monotonically.
+//!
+//! Golden oracles pin what must not move: the `repro` report and export
+//! hashes, and SHA-256 digests of every overlap mode's completion
+//! records.
 
 use diskmodel::{presets, DiskParams, PowerModel, RotationModel};
 use experiments::{ArrayRunResult, DriveRunResult};
-use intradisk::{ArmPlacement, DiskDrive, DriveConfig, QueuePolicy};
+use intradisk::{
+    ArmPlacement, CompletedIo, DiskDrive, DriveConfig, DriveMode, IoKind, IoRequest, OverlapMode,
+    QueuePolicy,
+};
+use simkit::{SimDuration, SimTime};
 use workload::{SyntheticSpec, Trace};
 
 fn trace(mean_ms: f64, n: usize, seed: u64) -> Trace {
@@ -578,76 +586,12 @@ fn oracle_streaming_stats_mode_preserves_the_simulation() {
     );
 }
 
-/// Minimal SHA-256 (FIPS 180-4), here so the export-hash golden needs
-/// no dependency and no external `sha256sum` binary.
+/// The export-hash golden hashes with `explorer::sha256`; pin that
+/// digest to FIPS 180-4 vectors here, where the golden relies on it.
 mod sha256 {
-    const K: [u32; 64] = [
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-        0xc67178f2,
-    ];
-
-    pub fn hex(data: &[u8]) -> String {
-        let mut h: [u32; 8] = [
-            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-            0x5be0cd19,
-        ];
-        let mut msg = data.to_vec();
-        msg.push(0x80);
-        while msg.len() % 64 != 56 {
-            msg.push(0);
-        }
-        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
-        for block in msg.chunks_exact(64) {
-            let mut w = [0u32; 64];
-            for (i, word) in block.chunks_exact(4).enumerate() {
-                w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-            }
-            for i in 16..64 {
-                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-                w[i] = w[i - 16]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[i - 7])
-                    .wrapping_add(s1);
-            }
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-            for i in 0..64 {
-                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-                let ch = (e & f) ^ (!e & g);
-                let t1 = hh
-                    .wrapping_add(s1)
-                    .wrapping_add(ch)
-                    .wrapping_add(K[i])
-                    .wrapping_add(w[i]);
-                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-                let maj = (a & b) ^ (a & c) ^ (b & c);
-                let t2 = s0.wrapping_add(maj);
-                hh = g;
-                g = f;
-                f = e;
-                e = d.wrapping_add(t1);
-                d = c;
-                c = b;
-                b = a;
-                a = t1.wrapping_add(t2);
-            }
-            for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-                *slot = slot.wrapping_add(v);
-            }
-        }
-        h.iter().map(|v| format!("{v:08x}")).collect()
-    }
-
     #[test]
     fn matches_known_vectors() {
+        use explorer::sha256::hex;
         assert_eq!(
             hex(b""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -676,6 +620,30 @@ fn repro(args: &[&str]) -> std::process::Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+/// Runs `repro` with arguments it must reject: exit 1 with `message`
+/// on stderr, nothing on stdout, and no panic.
+fn repro_rejects(args: &[&str], message: &str) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "repro {args:?}: {stderr}");
+    assert!(stderr.contains(message), "repro {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "repro {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "repro {args:?} wrote a report");
+}
+
+#[test]
+fn repro_rejects_zero_actuators() {
+    repro_rejects(&["scale", "--actuators", "0"], "--actuators must be at least 1");
+}
+
+#[test]
+fn repro_rejects_zero_requests() {
+    repro_rejects(&["fig5", "--requests", "0"], "--requests must be at least 1");
 }
 
 #[test]
@@ -719,10 +687,130 @@ fn golden_kernel_swap_exports_are_byte_identical() {
     for line in manifest.lines().filter(|l| !l.trim().is_empty()) {
         let (want, path) = line.split_once("  ").expect("sha256sum manifest line");
         let bytes = std::fs::read(dir.join(path)).expect("export regenerated");
-        let got = sha256::hex(&bytes);
+        let got = explorer::sha256::hex(&bytes);
         assert_eq!(got, want, "export {path} diverged from the pre-kernel-swap hash");
         checked += 1;
     }
     assert_eq!(checked, 22, "manifest covers all pinned exports");
     std::fs::remove_dir_all(&dir).expect("temp dir cleanup");
+}
+
+/// SHA-256 over every completion record (in completion order) and the
+/// final per-mode times of each overlap mode at SA(1), SA(2) and SA(4),
+/// on three seeds of [`mixed_requests`] (mean gaps 2, 4 and 8 ms).
+/// Taken from the drive engine that served the relaxed modes before
+/// they became a `DriveConfig` setting; the one engine must reproduce
+/// them bit for bit.
+const OVERLAP_DIGESTS: [(OverlapMode, u32, u64, &str); 27] = [
+    (OverlapMode::SingleArmMotion, 1, 1, "655e5303a63fa220d4daf6a66cb547bc85c61818f634acb953852ce291766778"),
+    (OverlapMode::SingleArmMotion, 2, 1, "63b19b1589081e18828ea29b90c986bb38b2f47f332b3be9e321ef99d679c736"),
+    (OverlapMode::SingleArmMotion, 4, 1, "42f00238bf3a7245805f8e55dcd87e30d56d732382ea2fcf19d9423f23fde6e1"),
+    (OverlapMode::MultiMotion, 1, 1, "655e5303a63fa220d4daf6a66cb547bc85c61818f634acb953852ce291766778"),
+    (OverlapMode::MultiMotion, 2, 1, "46398ad89025be6212843ebeff14b31004b595981d584b6cc137bf3089bc334e"),
+    (OverlapMode::MultiMotion, 4, 1, "f82b59962292b29d1e8c381e37e4170e36f36cf214d08e48e4f647dceec6181c"),
+    (OverlapMode::MultiChannel, 1, 1, "655e5303a63fa220d4daf6a66cb547bc85c61818f634acb953852ce291766778"),
+    (OverlapMode::MultiChannel, 2, 1, "cedd00d2269d489d31a74e0dcf28265bcee119b757282e8d107c69084b74e6a7"),
+    (OverlapMode::MultiChannel, 4, 1, "66268226e36d2690db1d77e7c060535accb59ff1df40b6b90b918fad6ac3f692"),
+    (OverlapMode::SingleArmMotion, 1, 2, "6e88b80fa93289a32b32bf7b1b44444c7ddc9081d49296d5c20a62e67ebb08e5"),
+    (OverlapMode::SingleArmMotion, 2, 2, "a25b33be98c13f8f67efa0b7784081a1d7707baef8209dbb9e21fb82d98d84ec"),
+    (OverlapMode::SingleArmMotion, 4, 2, "9317c7a61d85714536615d1633afbbf14d052344d63a60783cc1e8247e3c09f6"),
+    (OverlapMode::MultiMotion, 1, 2, "6e88b80fa93289a32b32bf7b1b44444c7ddc9081d49296d5c20a62e67ebb08e5"),
+    (OverlapMode::MultiMotion, 2, 2, "a0a437d08e9d571a4e105bccddb600869a5758379ed041894142cbf43e7a8282"),
+    (OverlapMode::MultiMotion, 4, 2, "6142e85022d1cbac7f720f0a903fdf79374e639fa44fc52e74e112c90c1cfc9e"),
+    (OverlapMode::MultiChannel, 1, 2, "6e88b80fa93289a32b32bf7b1b44444c7ddc9081d49296d5c20a62e67ebb08e5"),
+    (OverlapMode::MultiChannel, 2, 2, "65e1b090b5747e39fdd3abcfe24f7d267f84abb01354276775483e961b5b7c92"),
+    (OverlapMode::MultiChannel, 4, 2, "b69812d128bf44b941930ee4378440209dc63581301f24d90527194f3d2c94af"),
+    (OverlapMode::SingleArmMotion, 1, 3, "bb75d5b4e22b77ec297cf062873308a236cb4369f37030fa893f0c9f7aef007d"),
+    (OverlapMode::SingleArmMotion, 2, 3, "c3131f9dfb6c4e090e09ab3d0caf6c6a852302cfdd70436898cd7c0c6e495215"),
+    (OverlapMode::SingleArmMotion, 4, 3, "396e3ec5bf6255c3d9ed04b0e74c9989ef9c1f984eb7efe7ce913836a1ac7586"),
+    (OverlapMode::MultiMotion, 1, 3, "bb75d5b4e22b77ec297cf062873308a236cb4369f37030fa893f0c9f7aef007d"),
+    (OverlapMode::MultiMotion, 2, 3, "f80ceb13046442e0f89931218ca4c3b34a3b0a95afd949f23ae0a4c2ce7515a4"),
+    (OverlapMode::MultiMotion, 4, 3, "e4f5a6e4155971a5a1ffde9b85a47a9c5fe4f52868d7efdc216cbab54afaa400"),
+    (OverlapMode::MultiChannel, 1, 3, "bb75d5b4e22b77ec297cf062873308a236cb4369f37030fa893f0c9f7aef007d"),
+    (OverlapMode::MultiChannel, 2, 3, "55a0a957006b3fd3b5a9c8d1c01d64e36a96453e1bc10282b614a7728ff832b7"),
+    (OverlapMode::MultiChannel, 4, 3, "034aa4873ab576a70605dbee697fad6785638fd50f0f4e002744b693c5214aa4"),
+];
+
+/// Reads and writes that revisit recently used LBAs, so reads hit the
+/// cache and writes invalidate it.
+fn mixed_requests(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
+    let mut rng = simkit::Rng64::new(seed);
+    let mut at = SimTime::ZERO;
+    let mut recent: Vec<u64> = Vec::new();
+    (0..n)
+        .map(|i| {
+            at += SimDuration::from_millis(rng.f64() * 2.0 * mean_gap_ms);
+            let lba = if !recent.is_empty() && rng.chance(0.3) {
+                recent[rng.below(recent.len() as u64) as usize]
+            } else {
+                rng.below(1_400_000_000)
+            };
+            if recent.len() < 32 {
+                recent.push(lba);
+            } else {
+                recent[(i % 32) as usize] = lba;
+            }
+            let sectors = 8 * (1 + rng.below(8)) as u32;
+            let kind = if rng.chance(0.25) { IoKind::Write } else { IoKind::Read };
+            IoRequest::new(i, at, lba, sectors, kind)
+        })
+        .collect()
+}
+
+/// One line per completion record, every time in integer nanoseconds.
+#[derive(Default)]
+struct RecordLog(String);
+
+impl experiments::RunObserver for RecordLog {
+    fn on_complete(&mut self, d: &CompletedIo, _metrics: &intradisk::DriveMetrics) {
+        use std::fmt::Write as _;
+        let b = &d.breakdown;
+        let _ = writeln!(
+            self.0,
+            "{} {} {} {} {:?} {} {} {} {} {} {} {} {}",
+            d.request.id,
+            d.request.arrival.as_nanos(),
+            d.request.lba,
+            d.request.sectors,
+            d.request.kind,
+            d.completed.as_nanos(),
+            b.queue.as_nanos(),
+            b.overhead.as_nanos(),
+            b.seek.as_nanos(),
+            b.rotational.as_nanos(),
+            b.transfer.as_nanos(),
+            d.cache_hit,
+            d.actuator
+        );
+    }
+}
+
+#[test]
+fn oracle_overlap_modes_reproduce_pinned_digests() {
+    let params = presets::barracuda_es_750gb();
+    for (seed, gap) in [(1u64, 2.0), (2, 4.0), (3, 8.0)] {
+        let reqs = mixed_requests(1_500, gap, seed);
+        let trace = Trace::new("overlap-pin", reqs, params.capacity_sectors());
+        for &(mode, n, _, want) in OVERLAP_DIGESTS.iter().filter(|p| p.2 == seed) {
+            let mut log = RecordLog::default();
+            let r = experiments::run_drive_observed(
+                &params,
+                DriveConfig::sa(n).with_overlap(mode),
+                &trace,
+                intradisk::failure::FailureSchedule::new(),
+                &mut telemetry::NullRecorder,
+                &mut log,
+            )
+            .expect("replay succeeds");
+            assert!(r.metrics.cache_hits > 0, "{mode:?} SA({n}) seed {seed}: no cache hits");
+            for m in DriveMode::ALL {
+                log.0.push_str(&format!("{m:?} {}\n", r.metrics.modes.time_in(m.key()).as_nanos()));
+            }
+            assert_eq!(
+                explorer::sha256::hex(log.0.as_bytes()),
+                want,
+                "{mode:?} SA({n}) seed {seed}"
+            );
+        }
+    }
 }

@@ -335,26 +335,59 @@ fn spc_lines_roundtrip() {
 #[test]
 fn overlapped_drive_conserves_requests() {
     check_with(heavy(), "overlapped_drive_conserves_requests", |t| {
-        use intradisk::overlap::{replay as overlap_replay, OverlapConfig, OverlapMode};
+        use intradisk::{CompletedIo, DriveMetrics, OverlapMode};
+        struct Ledger(Vec<CompletedIo>);
+        impl experiments::RunObserver for Ledger {
+            fn on_complete(&mut self, done: &CompletedIo, _metrics: &DriveMetrics) {
+                self.0.push(*done);
+            }
+        }
         let seed = t.draw(&gen::u64_in(0..=999));
         let n = t.draw(&gen::usize_in(1..=79));
-        let mode = t.draw(&gen::one_of(vec![
-            OverlapMode::SingleArmMotion,
-            OverlapMode::MultiMotion,
-            OverlapMode::MultiChannel,
-        ]));
+        let actuators = t.draw(&gen::u32_in(1..=4));
         let params = presets::barracuda_es_750gb();
+        // Random reads and writes over a small LBA pool, so reads hit
+        // the cache and writes invalidate it.
         let mut rng = Rng64::new(seed);
+        let pool: Vec<u64> = (0..8).map(|_| rng.below(1_000_000_000)).collect();
         let mut at = SimTime::ZERO;
         let reqs: Vec<IoRequest> = (0..n as u64)
             .map(|i| {
                 at += simkit::SimDuration::from_millis(rng.f64() * 8.0);
-                IoRequest::new(i, at, rng.below(1_000_000_000), 8, IoKind::Read)
+                let lba = pool[rng.below(pool.len() as u64) as usize];
+                let kind = if rng.chance(0.3) { IoKind::Write } else { IoKind::Read };
+                IoRequest::new(i, at, lba, 8 * (1 + rng.below(4) as u32), kind)
             })
             .collect();
-        let m = overlap_replay(&params, OverlapConfig::new(4, mode), &reqs);
-        assert_eq!(m.completed as usize, n);
-        assert!(m.response_time_ms.min() >= 0.0);
+        let trace = workload::Trace::new("overlap-prop", reqs, 1_000_000_000);
+        for mode in [
+            OverlapMode::SingleArmMotion,
+            OverlapMode::MultiMotion,
+            OverlapMode::MultiChannel,
+        ] {
+            let config = DriveConfig::sa(actuators).with_overlap(mode);
+            let mut ledger = Ledger(Vec::new());
+            let r = experiments::run_drive_observed(
+                &params,
+                config,
+                &trace,
+                intradisk::failure::FailureSchedule::new(),
+                &mut telemetry::NullRecorder,
+                &mut ledger,
+            )
+            .expect("replay succeeds");
+            assert_eq!(r.metrics.completed as usize, n, "{mode:?}");
+            let mut ids: Vec<u64> = ledger.0.iter().map(|d| d.request.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..n as u64).collect::<Vec<_>>(), "{mode:?}: not exactly once");
+            for d in &ledger.0 {
+                let b = &d.breakdown;
+                let parts = [b.queue, b.overhead, b.seek, b.rotational, b.transfer];
+                let sum: u64 = parts.iter().map(|p| p.as_nanos()).sum();
+                let response = d.completed.as_nanos() - d.request.arrival.as_nanos();
+                assert_eq!(response, sum, "{mode:?}: request {} breakdown", d.request.id);
+            }
+        }
     });
 }
 

@@ -12,8 +12,7 @@
 //! (the failing assertion prints the actual output).
 
 use diskmodel::presets;
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest};
+use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, OverlapMode};
 use simkit::SimTime;
 use telemetry::{chrome_trace_json, schema, timeline_csv, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
@@ -111,12 +110,8 @@ fn schema_valid_on_overlapped_and_array_runs() {
     let params = presets::barracuda_es_750gb();
 
     let mut rec = RingRecorder::new();
-    overlap::replay_traced(
-        &params,
-        OverlapConfig::new(4, OverlapMode::MultiChannel),
-        t.requests(),
-        &mut rec,
-    );
+    let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
+    experiments::run_drive_traced(&params, config, &t, &mut rec).expect("replay succeeds");
     schema::validate(&rec.sorted_samples(), 4).expect("overlap stream well-formed");
 
     let mut rec = RingRecorder::new();
