@@ -8,14 +8,17 @@
 //! opposite trade to intra-disk parallelism, which keeps one spindle
 //! hot and removes drives instead.
 //!
-//! [`replay`] simulates a concatenated array (MAID systems do not
+//! [`MaidArray`] simulates a concatenated array (MAID systems do not
 //! stripe — striping would wake every disk) with a per-disk spin state
-//! machine and explicit energy integration.
+//! machine and explicit energy integration. It is a passive state
+//! machine; `experiments::runner::run` drives it from the same event
+//! loop as every other device.
 
-use diskmodel::{DiskParams, PowerModel};
+use diskmodel::{DiskParams, DriveError, PowerModel};
 use intradisk::service::{ArmSet, LatencyScaling, Mechanics, PlanTimes};
-use intradisk::IoRequest;
-use simkit::{ResponseStats, SimDuration, SimTime};
+use intradisk::{CompletedIo, Device, IoRequest};
+use simkit::{EventQueue, ResponseStats, SimDuration, SimTime};
+use telemetry::Recorder;
 
 /// MAID spin-down policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +47,7 @@ impl MaidConfig {
     }
 }
 
-/// Results of a MAID replay.
+/// Results of a MAID run.
 #[derive(Debug, Clone)]
 pub struct MaidResult {
     /// Logical response times, ms.
@@ -80,6 +83,7 @@ enum Spin {
     Standby { since: SimTime },
 }
 
+#[derive(Debug, Clone)]
 struct Member {
     mech: Mechanics,
     arm: ArmSet,
@@ -90,50 +94,85 @@ struct Member {
     standby_time: SimDuration,
 }
 
-/// Replays a trace against a MAID array of `disks` members.
+/// A MAID array as a passive event-driven state machine.
 ///
 /// The logical space is the concatenation of the members; each request
 /// touches exactly one member (requests are clamped to one disk: MAID
-/// stores whole objects per disk).
-pub fn replay(
-    params: &DiskParams,
+/// stores whole objects per disk). Members are independent under
+/// concatenation, so [`Device::submit`] plans each request on its
+/// member at arrival and [`Device::advance`] delivers the planned
+/// completions in time order.
+#[derive(Debug)]
+pub struct MaidArray {
     config: MaidConfig,
-    disks: usize,
-    requests: &[IoRequest],
-) -> MaidResult {
-    assert!(disks > 0, "need at least one disk");
-    let power = PowerModel::new(params);
-    let overhead = params.controller_overhead();
-    let mut members: Vec<Member> = (0..disks)
-        .map(|_| {
-            let mech = Mechanics::new(params);
-            let arm = ArmSet::from_arms(&mech.default_arms(1));
-            Member {
-                mech,
-                arm,
-                spin: Spin::Active {
-                    idle_since: SimTime::ZERO,
-                },
-                busy_until: SimTime::ZERO,
-                energy_j: 0.0,
-                standby_time: SimDuration::ZERO,
-            }
+    power: PowerModel,
+    overhead: SimDuration,
+    members: Vec<Member>,
+    per_disk: u64,
+    /// Planned completions not yet delivered.
+    done: EventQueue<CompletedIo>,
+    response: ResponseStats,
+    spin_ups: u64,
+}
+
+impl MaidArray {
+    /// Builds an array of `disks` spinning, idle members of model
+    /// `params`.
+    ///
+    /// # Errors
+    /// [`DriveError::InvalidConfig`] if `disks` is zero.
+    pub fn new(params: &DiskParams, config: MaidConfig, disks: usize) -> Result<Self, DriveError> {
+        if disks == 0 {
+            return Err(DriveError::InvalidConfig {
+                reason: "a MAID array needs at least one disk",
+            });
+        }
+        let members: Vec<Member> = (0..disks)
+            .map(|_| {
+                let mech = Mechanics::new(params);
+                let arm = ArmSet::from_arms(&mech.default_arms(1));
+                Member {
+                    mech,
+                    arm,
+                    spin: Spin::Active {
+                        idle_since: SimTime::ZERO,
+                    },
+                    busy_until: SimTime::ZERO,
+                    energy_j: 0.0,
+                    standby_time: SimDuration::ZERO,
+                }
+            })
+            .collect();
+        Ok(MaidArray {
+            config,
+            power: PowerModel::new(params),
+            overhead: params.controller_overhead(),
+            per_disk: members[0].mech.geometry().total_sectors(),
+            members,
+            done: EventQueue::new(),
+            response: ResponseStats::exact(),
+            spin_ups: 0,
         })
-        .collect();
-    let per_disk = members[0].mech.geometry().total_sectors();
-    let capacity = per_disk * disks as u64;
+    }
+}
 
-    let mut response = ResponseStats::exact();
-    let mut spin_ups = 0u64;
-    let mut end = SimTime::ZERO;
+impl Device for MaidArray {
+    type Done = CompletedIo;
+    type Output = MaidResult;
 
-    // Process arrivals in order; each member is advanced lazily. This
-    // is exact because members are independent under concatenation.
-    for req in requests {
-        let lba = req.lba % capacity;
-        let disk = (lba / per_disk) as usize;
-        let m = &mut members[disk];
-        let local_lba = lba % per_disk;
+    /// The earliest planned completion not yet delivered.
+    fn next_event(&self) -> Option<SimTime> {
+        self.done.peek_time()
+    }
+
+    /// Plans `req` on its member at arrival, paying the spin-up if the
+    /// member sleeps.
+    fn submit<R: Recorder>(&mut self, req: IoRequest, _rec: &mut R) -> Result<(), DriveError> {
+        let config = &self.config;
+        let idle_w = self.power.idle_w();
+        let lba = req.lba % (self.per_disk * self.members.len() as u64);
+        let m = &mut self.members[(lba / self.per_disk) as usize];
+        let local_lba = lba % self.per_disk;
         let now = req.arrival;
 
         // Lazily account the member's state up to `now`.
@@ -144,8 +183,7 @@ pub fn replay(
                 let idle_from = idle_since.max(m.busy_until);
                 if now.saturating_since(idle_from) >= config.spin_down_after {
                     let down_at = idle_from + config.spin_down_after;
-                    m.energy_j += power.idle_w()
-                        * (down_at.saturating_since(idle_from)).as_secs();
+                    m.energy_j += idle_w * (down_at.saturating_since(idle_from)).as_secs();
                     m.spin = Spin::Standby { since: down_at };
                 }
             }
@@ -156,9 +194,8 @@ pub fn replay(
                 // Pay standby until now, then spin up.
                 m.energy_j += config.standby_w * now.saturating_since(since).as_secs();
                 m.standby_time += now.saturating_since(since);
-                m.energy_j +=
-                    power.idle_w() * config.spin_up_power_factor * config.spin_up.as_secs();
-                spin_ups += 1;
+                m.energy_j += idle_w * config.spin_up_power_factor * config.spin_up.as_secs();
+                self.spin_ups += 1;
                 m.spin = Spin::Active {
                     idle_since: now + config.spin_up,
                 };
@@ -167,183 +204,89 @@ pub fn replay(
             Spin::Active { idle_since } => {
                 // Idle energy from last activity to service start.
                 let idle_from = idle_since.max(m.busy_until.min(now));
-                let s = free_at;
-                m.energy_j += power.idle_w() * s.saturating_since(idle_from).as_secs();
-                s
+                m.energy_j += idle_w * free_at.saturating_since(idle_from).as_secs();
+                free_at
             }
         };
 
-        // Serve (single request at a time per member; arrivals are in
-        // order so the queue is only needed for back-to-back requests,
-        // which `busy_until` already serializes).
-        // A member's single arm is never deconfigured, so planning
-        // cannot fail; skip the request rather than panic if it does.
-        let Ok(plan) = m.mech.plan_set_with_heads(
+        // Serve one request at a time per member: arrivals are in
+        // order, so `busy_until` alone serializes back-to-back
+        // requests.
+        let plan = m.mech.plan_set_with_heads(
             &m.arm,
             1,
             local_lba,
             req.sectors,
-            PlanTimes::at(start + overhead),
+            PlanTimes::at(start + self.overhead),
             LatencyScaling::none(),
-        ) else {
-            continue;
-        };
-        let finish = start + overhead + plan.total();
-        m.energy_j += power.idle_w() * (overhead + plan.rotational).as_secs();
-        m.energy_j += power.seek_w(1) * plan.seek.as_secs();
-        m.energy_j += power.transfer_w() * plan.transfer.as_secs();
+        )?;
+        let finish = start + self.overhead + plan.total();
+        m.energy_j += idle_w * (self.overhead + plan.rotational).as_secs();
+        m.energy_j += self.power.seek_w(1) * plan.seek.as_secs();
+        m.energy_j += self.power.transfer_w() * plan.transfer.as_secs();
         m.arm.set_cylinder(0, plan.end_cylinder);
         m.busy_until = finish;
         m.spin = Spin::Active { idle_since: finish };
-        response.record(finish.saturating_since(req.arrival).as_millis());
-        end = end.max(finish);
+        self.response
+            .record(finish.saturating_since(req.arrival).as_millis());
+        let queue = start.saturating_since(req.arrival);
+        self.done
+            .push(finish, plan.completion(req, finish, queue, self.overhead));
+        Ok(())
     }
 
-    // Close every member out to `end`.
-    let mut energy = 0.0;
-    let mut standby = SimDuration::ZERO;
-    for m in &mut members {
-        match m.spin {
-            Spin::Standby { since } => {
-                m.energy_j += config.standby_w * end.saturating_since(since).as_secs();
-                m.standby_time += end.saturating_since(since);
-            }
-            Spin::Active { idle_since } => {
-                let idle_from = idle_since.min(end);
-                let gap = end.saturating_since(idle_from);
-                if gap >= config.spin_down_after {
-                    let down_at = idle_from + config.spin_down_after;
-                    m.energy_j += power.idle_w() * config.spin_down_after.as_secs();
-                    m.energy_j += config.standby_w * end.saturating_since(down_at).as_secs();
-                    m.standby_time += end.saturating_since(down_at);
-                } else {
-                    m.energy_j += power.idle_w() * gap.as_secs();
+    /// Delivers the earliest planned completion.
+    fn advance<R: Recorder>(
+        &mut self,
+        _now: SimTime,
+        _rec: &mut R,
+    ) -> Result<Option<CompletedIo>, DriveError> {
+        let e = self.done.pop().ok_or(DriveError::NotInService)?;
+        Ok(Some(e.payload))
+    }
+
+    /// Closes every member out to `end` (the last completion).
+    fn finish(mut self, end: SimTime) -> MaidResult {
+        let config = self.config;
+        let idle_w = self.power.idle_w();
+        let mut energy = 0.0;
+        let mut standby = SimDuration::ZERO;
+        for m in &mut self.members {
+            match m.spin {
+                Spin::Standby { since } => {
+                    m.energy_j += config.standby_w * end.saturating_since(since).as_secs();
+                    m.standby_time += end.saturating_since(since);
+                }
+                Spin::Active { idle_since } => {
+                    let idle_from = idle_since.min(end);
+                    let gap = end.saturating_since(idle_from);
+                    if gap >= config.spin_down_after {
+                        let down_at = idle_from + config.spin_down_after;
+                        m.energy_j += idle_w * config.spin_down_after.as_secs();
+                        m.energy_j += config.standby_w * end.saturating_since(down_at).as_secs();
+                        m.standby_time += end.saturating_since(down_at);
+                    } else {
+                        m.energy_j += idle_w * gap.as_secs();
+                    }
                 }
             }
+            energy += m.energy_j;
+            standby += m.standby_time;
         }
-        energy += m.energy_j;
-        standby += m.standby_time;
-    }
 
-    let duration = end.saturating_since(SimTime::ZERO);
-    let aggregate = duration.as_millis() * disks as f64;
-    MaidResult {
-        completed: response.count() as u64,
-        response_time_ms: response,
-        energy_j: energy,
-        duration,
-        standby_fraction: if aggregate <= 0.0 {
-            0.0
-        } else {
-            standby.as_millis() / aggregate
-        },
-        spin_ups,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use diskmodel::presets;
-    use intradisk::IoKind;
-    use simkit::Rng64;
-
-    fn params() -> DiskParams {
-        presets::array_drive_10k_19gb()
-    }
-
-    /// Archival pattern: bursts to one disk, long silences.
-    fn archival(disks: u64, n: u64, seed: u64) -> Vec<IoRequest> {
-        let per_disk = Mechanics::new(&params()).geometry().total_sectors();
-        let mut rng = Rng64::new(seed);
-        let mut t = SimTime::ZERO;
-        let mut reqs = Vec::new();
-        for i in 0..n {
-            if i % 20 == 0 {
-                t += SimDuration::from_secs(60.0 + rng.f64() * 60.0);
+        let duration = end.saturating_since(SimTime::ZERO);
+        let aggregate = duration.as_millis() * self.members.len() as f64;
+        MaidResult {
+            completed: self.response.count() as u64,
+            response_time_ms: self.response,
+            energy_j: energy,
+            duration,
+            standby_fraction: if aggregate <= 0.0 {
+                0.0
             } else {
-                t += SimDuration::from_millis(rng.f64() * 20.0);
-            }
-            let disk = rng.below(disks);
-            reqs.push(IoRequest::new(
-                i,
-                t,
-                disk * per_disk + rng.below(per_disk),
-                8,
-                IoKind::Read,
-            ));
+                standby.as_millis() / aggregate
+            },
+            spin_ups: self.spin_ups,
         }
-        reqs
-    }
-
-    #[test]
-    fn completes_everything() {
-        let reqs = archival(4, 400, 1);
-        let r = replay(&params(), MaidConfig::typical(), 4, &reqs);
-        assert_eq!(r.completed, 400);
-        assert!(r.average_power_w() > 0.0);
-    }
-
-    #[test]
-    fn archival_load_sleeps_most_of_the_time() {
-        let reqs = archival(8, 300, 2);
-        let r = replay(&params(), MaidConfig::typical(), 8, &reqs);
-        assert!(
-            r.standby_fraction > 0.5,
-            "standby fraction {}",
-            r.standby_fraction
-        );
-        assert!(r.spin_ups > 0);
-        // Far below the always-on array's idle floor.
-        let always_on = PowerModel::new(&params()).idle_w() * 8.0;
-        assert!(
-            r.average_power_w() < always_on * 0.5,
-            "{} vs {}",
-            r.average_power_w(),
-            always_on
-        );
-    }
-
-    #[test]
-    fn cold_hits_pay_the_spin_up() {
-        let reqs = archival(4, 200, 3);
-        let r = replay(&params(), MaidConfig::typical(), 4, &reqs);
-        // The response-time tail carries whole spin-ups (6 s).
-        assert!(
-            r.response_time_ms.percentile(99.0) > 5_000.0,
-            "p99 {}",
-            r.response_time_ms.percentile(99.0)
-        );
-    }
-
-    #[test]
-    fn hot_load_never_spins_down() {
-        let per_disk = Mechanics::new(&params()).geometry().total_sectors();
-        let mut rng = Rng64::new(4);
-        let reqs: Vec<IoRequest> = (0..500u64)
-            .map(|i| {
-                IoRequest::new(
-                    i,
-                    SimTime::from_millis(i as f64 * 10.0),
-                    (i % 4) * per_disk + rng.below(per_disk),
-                    8,
-                    IoKind::Read,
-                )
-            })
-            .collect();
-        let r = replay(&params(), MaidConfig::typical(), 4, &reqs);
-        assert_eq!(r.spin_ups, 0);
-        assert!(r.standby_fraction < 1e-9);
-        // Mean stays in disk-latency territory.
-        assert!(r.response_time_ms.mean() < 50.0, "{}", r.response_time_ms.mean());
-    }
-
-    #[test]
-    fn deterministic() {
-        let reqs = archival(4, 200, 5);
-        let a = replay(&params(), MaidConfig::typical(), 4, &reqs);
-        let b = replay(&params(), MaidConfig::typical(), 4, &reqs);
-        assert_eq!(a.energy_j, b.energy_j);
-        assert_eq!(a.response_time_ms.mean(), b.response_time_ms.mean());
     }
 }

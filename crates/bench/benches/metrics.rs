@@ -44,15 +44,23 @@ fn main() {
             .completed
     });
     let null = bench("replay_no_registry", WARMUP, SAMPLES, || {
-        experiments::run_drive_traced(&params, config.clone(), &trace, &mut NullRecorder)
-            .expect("replays cleanly")
-            .metrics
-            .completed
+        experiments::run(
+            experiments::DriveDevice::new(&params, config.clone()),
+            &trace,
+            experiments::Hooks::none().recorder(&mut NullRecorder),
+        )
+        .expect("replays cleanly")
+        .metrics
+        .completed
     });
     let metrics = bench("replay_metrics_recorder", WARMUP, SAMPLES, || {
         let mut rec = MetricsRecorder::new();
-        let r = experiments::run_drive_traced(&params, config.clone(), &trace, &mut rec)
-            .expect("replays cleanly");
+        let r = experiments::run(
+            experiments::DriveDevice::new(&params, config.clone()),
+            &trace,
+            experiments::Hooks::none().recorder(&mut rec),
+        )
+        .expect("replays cleanly");
         r.metrics.completed + rec.finish().counters.len() as u64
     });
     let _ = bench("streamhist_record", WARMUP, SAMPLES, || {

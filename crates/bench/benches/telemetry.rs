@@ -41,15 +41,23 @@ fn main() {
             .completed
     });
     let null = bench("replay_null_recorder", WARMUP, SAMPLES, || {
-        experiments::run_drive_traced(&params, config.clone(), &trace, &mut NullRecorder)
-            .expect("replays cleanly")
-            .metrics
-            .completed
+        experiments::run(
+            experiments::DriveDevice::new(&params, config.clone()),
+            &trace,
+            experiments::Hooks::none().recorder(&mut NullRecorder),
+        )
+        .expect("replays cleanly")
+        .metrics
+        .completed
     });
     let ring = bench("replay_ring_recorder", WARMUP, SAMPLES, || {
         let mut rec = RingRecorder::new();
-        let r = experiments::run_drive_traced(&params, config.clone(), &trace, &mut rec)
-            .expect("replays cleanly");
+        let r = experiments::run(
+            experiments::DriveDevice::new(&params, config.clone()),
+            &trace,
+            experiments::Hooks::none().recorder(&mut rec),
+        )
+        .expect("replays cleanly");
         r.metrics.completed + rec.len() as u64
     });
 

@@ -37,7 +37,9 @@ impl Error for DiskModelError {}
 /// `submit`/`complete` returned. These variants are the ways a driver
 /// can break that contract (or ask a fully failed drive for service).
 /// They indicate a harness bug, not a modeled device fault, so request
-/// paths surface them as typed errors instead of panicking.
+/// paths surface them as typed errors instead of panicking. The same
+/// holds for a device built with a configuration its model cannot run
+/// ([`DriveError::InvalidConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DriveError {
     /// `submit` was called before the request's arrival time.
@@ -68,6 +70,12 @@ pub enum DriveError {
         /// The internal key of the retired logical request.
         key: u64,
     },
+    /// A device constructor was given a configuration outside its
+    /// model's domain.
+    InvalidConfig {
+        /// What is wrong with the configuration.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for DriveError {
@@ -87,6 +95,7 @@ impl fmt::Display for DriveError {
             DriveError::RetiredRequest { key } => {
                 write!(f, "completion for retired logical request {key}")
             }
+            DriveError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Metrics capture behind `repro <study> --metrics <dir>` and the
 //! `repro report <dir>` dashboard.
 //!
-//! Replays the same fixed scenario set as `--trace`
+//! Replays every row of the scenario table `--trace` also draws from
 //! ([`crate::tracing`]) with a [`MetricsRecorder`] attached, then
 //! writes two files per scenario:
 //!
@@ -22,14 +22,11 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use array::Layout;
 use diskmodel::DriveError;
-use intradisk::{DriveConfig, OverlapMode};
 use telemetry::metrics::{export, jsonv, report, MetricsRecorder};
 
-use crate::configs::{hcsd_params, Scale};
-use crate::runner::{run_array_traced, run_drive_traced};
-use crate::tracing::{scenario_trace, TRACE_FOOTPRINT_SECTORS};
+use crate::configs::Scale;
+use crate::tracing::replay_scenarios;
 
 /// Why a `--trace`/`--metrics` export or a `report` render failed.
 ///
@@ -137,48 +134,9 @@ fn write_snapshot(
 pub fn export_metrics(dir: &Path, scale: Scale) -> Result<Vec<String>, ExportError> {
     fs::create_dir_all(dir).map_err(io_err(dir, "create"))?;
     let mut files = Vec::new();
-    let params = hcsd_params();
-    let trace = scenario_trace(scale, TRACE_FOOTPRINT_SECTORS);
-
-    for (name, actuators) in [("hcsd-sa1", 1u32), ("hcsd-sa2", 2u32), ("hcsd-sa4", 4u32)] {
-        let mut rec = MetricsRecorder::new();
-        run_drive_traced(&params, DriveConfig::sa(actuators), &trace, &mut rec).map_err(
-            |source| ExportError::Simulation {
-                scenario: name,
-                source,
-            },
-        )?;
-        write_snapshot(dir, name, &mut rec, &mut files)?;
-    }
-
-    {
-        let mut rec = MetricsRecorder::new();
-        run_array_traced(
-            &params,
-            DriveConfig::sa(2),
-            4,
-            Layout::raid5_default(),
-            &trace,
-            &mut rec,
-        )
-        .map_err(|source| ExportError::Simulation {
-            scenario: "array-raid5",
-            source,
-        })?;
-        write_snapshot(dir, "array-raid5", &mut rec, &mut files)?;
-    }
-
-    {
-        let mut rec = MetricsRecorder::new();
-        let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
-        run_drive_traced(&params, config, &trace, &mut rec).map_err(|source| {
-            ExportError::Simulation {
-                scenario: "overlap-multichannel",
-                source,
-            }
-        })?;
-        write_snapshot(dir, "overlap-multichannel", &mut rec, &mut files)?;
-    }
+    replay_scenarios(scale, false, MetricsRecorder::new, |name, mut rec| {
+        write_snapshot(dir, name, &mut rec, &mut files)
+    })?;
 
     Ok(files)
 }

@@ -1,48 +1,129 @@
-//! Shared trace-driven event loops.
+//! The one trace-driven event loop.
 //!
-//! Two runners cover every experiment: [`run_drive`] replays a workload
-//! against a single (conventional or intra-disk parallel) drive;
-//! [`run_array`] replays it against an [`ArrayController`]. Both close
-//! power accounting at the later of the last arrival and the last
-//! completion, so idle tails are charged correctly.
+//! [`run`] replays a workload against any [`Device`]: a drive
+//! ([`DriveDevice`]), an array ([`ArrayDevice`]), or the DRPM and MAID
+//! baselines (`intradisk::drpm::DrpmDrive`, `array::maid::MaidArray`).
+//! [`run_drive`] and [`run_array`] are the shorthands most studies use.
+//! A run closes power accounting at the later of the last arrival and
+//! the last device event, so idle tails are charged correctly.
 //!
-//! The runners are **pull-based**: they accept any
-//! [`IntoRequestSource`] — a materialized [`workload::Trace`] by
-//! reference (backward compatible) or a lazy source
-//! (`SyntheticSpec::source`, `TraceProfile::source`, `SpcSource`) — and
-//! hold at most one request of lookahead, so a 10⁸-request run never
-//! materializes its workload.
+//! The loop is **pull-based**: it accepts any [`IntoRequestSource`] —
+//! a materialized [`workload::Trace`] by reference or a lazy source
+//! (`SyntheticSpec::source`, `TraceProfile::source`, `SpcSource`) —
+//! and holds at most one request of lookahead, so a 10⁸-request run
+//! never materializes its workload.
 //!
-//! The runners surface the drive/array state machines' typed
-//! [`DriveError`]s instead of panicking: a protocol violation aborts
-//! the *experiment point*, not the whole sweep, and the executor
-//! ([`crate::exec`]) reports which point failed.
+//! Devices surface typed [`DriveError`]s instead of panicking: a
+//! protocol violation aborts the *experiment point*, not the whole
+//! sweep, and the executor ([`crate::exec`]) reports which point
+//! failed.
 
-use array::{ArrayController, Layout};
+use array::{ArrayController, Layout, LogicalCompletion};
 use diskmodel::{DiskParams, DriveError};
 use intradisk::failure::FailureSchedule;
-use intradisk::{CompletedIo, DiskDrive, DriveConfig, DriveMetrics, PowerBreakdown};
+use intradisk::{CompletedIo, DiskDrive, DriveConfig, DriveMetrics, IoRequest, PowerBreakdown};
 use simkit::{EventQueue, QueueStats, ResponseStats, SimDuration, SimTime};
 use telemetry::prof::{self, Phase};
 use telemetry::{NullRecorder, Recorder};
 use workload::{CountingSource, IntoRequestSource, RequestSource};
 
-/// Observer hooked into the drive run loop, called after every
-/// completed request with its record and the drive's live metrics. This is how
+pub use intradisk::Device;
+
+/// Observer hooked into the run loop, called after every completed
+/// request with its record and the device's live state. This is how
 /// heartbeats observe a run without the sim core touching threads or
 /// host time: the loop stays single-threaded and virtual-time-driven,
 /// the observer decides (on its own clock) whether to emit anything.
-pub trait RunObserver {
+pub trait RunObserver<D: Device> {
     /// Called once per completed request.
-    fn on_complete(&mut self, done: &CompletedIo, metrics: &DriveMetrics);
+    fn on_complete(&mut self, done: &D::Done, device: &D);
 }
 
-/// The no-op observer behind the plain entry points.
+/// The no-op observer behind [`Hooks::none`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
-impl RunObserver for NullObserver {
-    fn on_complete(&mut self, _done: &CompletedIo, _metrics: &DriveMetrics) {}
+impl<D: Device> RunObserver<D> for NullObserver {
+    fn on_complete(&mut self, _done: &D::Done, _device: &D) {}
+}
+
+impl<D: Device, O: RunObserver<D>> RunObserver<D> for &mut O {
+    fn on_complete(&mut self, done: &D::Done, device: &D) {
+        (**self).on_complete(done, device);
+    }
+}
+
+/// What a [`run`] reports to besides its result: a telemetry recorder
+/// and a [`RunObserver`], both none by default. Pass `&mut` references
+/// to keep ownership of them.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Hooks<R = NullRecorder, O = NullObserver> {
+    recorder: R,
+    observer: O,
+}
+
+impl Hooks {
+    /// No recorder, no observer.
+    pub fn none() -> Self {
+        Hooks::default()
+    }
+}
+
+impl<R, O> Hooks<R, O> {
+    /// Records the device's telemetry events into `recorder`.
+    pub fn recorder<R2: Recorder>(self, recorder: R2) -> Hooks<R2, O> {
+        Hooks {
+            recorder,
+            observer: self.observer,
+        }
+    }
+
+    /// Calls `observer` after every completed request.
+    pub fn observer<O2>(self, observer: O2) -> Hooks<R, O2> {
+        Hooks {
+            recorder: self.recorder,
+            observer,
+        }
+    }
+}
+
+/// Replays a workload against `device`: the one event loop behind
+/// every run.
+///
+/// # Errors
+/// The first [`DriveError`] the device reports; the run stops there.
+pub fn run<D: Device, R: Recorder, O: RunObserver<D>>(
+    mut device: D,
+    workload: impl IntoRequestSource,
+    mut hooks: Hooks<R, O>,
+) -> Result<D::Output, DriveError> {
+    let mut source = CountingSource::new(workload.into_source());
+    let mut pull = move || {
+        let _sp = prof::scope(Phase::SourcePull);
+        source.next_request()
+    };
+    // One-request lookahead: the only workload state the loop holds.
+    let mut pending = pull();
+    let mut end = SimTime::ZERO;
+    loop {
+        match (pending, device.next_event()) {
+            // An arrival goes first, also when it ties with the event.
+            (Some(r), event) if event.is_none_or(|e| r.arrival <= e) => {
+                pending = pull();
+                end = end.max(r.arrival);
+                device.submit(r, &mut hooks.recorder)?;
+            }
+            (_, Some(now)) => {
+                end = end.max(now);
+                if let Some(done) = device.advance(now, &mut hooks.recorder)? {
+                    hooks.observer.on_complete(&done, &device);
+                }
+            }
+            // No event and, by the first arm, no arrival either.
+            (_, None) => break,
+        }
+    }
+    Ok(device.finish(end))
 }
 
 /// Result of replaying a workload on a single drive.
@@ -122,91 +203,7 @@ pub fn run_drive(
     config: DriveConfig,
     workload: impl IntoRequestSource,
 ) -> Result<DriveRunResult, DriveError> {
-    run_drive_with_failures(params, config, workload, FailureSchedule::new())
-}
-
-/// [`run_drive`], recording the drive's telemetry events into `rec`.
-pub fn run_drive_traced<R: Recorder>(
-    params: &DiskParams,
-    config: DriveConfig,
-    workload: impl IntoRequestSource,
-    rec: &mut R,
-) -> Result<DriveRunResult, DriveError> {
-    run_drive_with_failures_traced(params, config, workload, FailureSchedule::new(), rec)
-}
-
-/// Replays a workload against one drive, applying a SMART failure
-/// schedule as simulated time passes (§8's graceful-degradation study).
-pub fn run_drive_with_failures(
-    params: &DiskParams,
-    config: DriveConfig,
-    workload: impl IntoRequestSource,
-    failures: FailureSchedule,
-) -> Result<DriveRunResult, DriveError> {
-    run_drive_with_failures_traced(params, config, workload, failures, &mut NullRecorder)
-}
-
-/// [`run_drive_with_failures`], recording telemetry events into `rec`.
-pub fn run_drive_with_failures_traced<R: Recorder>(
-    params: &DiskParams,
-    config: DriveConfig,
-    workload: impl IntoRequestSource,
-    failures: FailureSchedule,
-    rec: &mut R,
-) -> Result<DriveRunResult, DriveError> {
-    run_drive_observed(params, config, workload, failures, rec, &mut NullObserver)
-}
-
-/// The single-drive event loop behind every `run_drive*` entry point,
-/// with both a telemetry recorder and a [`RunObserver`] hook.
-pub fn run_drive_observed<R: Recorder, O: RunObserver>(
-    params: &DiskParams,
-    config: DriveConfig,
-    workload: impl IntoRequestSource,
-    mut failures: FailureSchedule,
-    rec: &mut R,
-    obs: &mut O,
-) -> Result<DriveRunResult, DriveError> {
-    let mut source = CountingSource::new(workload.into_source());
-    let mut drive = DiskDrive::new(params, config);
-    let mut end = SimTime::ZERO;
-    // One-request lookahead: the only workload state the loop holds.
-    let mut pending = {
-        let _sp = prof::scope(Phase::SourcePull);
-        source.next_request()
-    };
-    loop {
-        let completion = drive.next_completion();
-        let take_arrival = match (pending.map(|r| r.arrival), completion) {
-            (None, None) => break,
-            (Some(a), Some(c)) => a <= c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_arrival {
-            let r = pending.take().expect("arrival pending");
-            pending = {
-                let _sp = prof::scope(Phase::SourcePull);
-                source.next_request()
-            };
-            failures.apply_due(&mut drive, r.arrival);
-            end = end.max(r.arrival);
-            drive.submit_traced(r, r.arrival, rec)?;
-        } else {
-            let c = completion.expect("completion pending");
-            failures.apply_due(&mut drive, c);
-            let (done, _) = drive.complete_traced(c, rec)?;
-            end = end.max(done.completed);
-            obs.on_complete(&done, drive.metrics());
-        }
-    }
-    drive.finalize(end);
-    Ok(DriveRunResult {
-        power: drive.power_breakdown(),
-        metrics: drive.metrics().clone(),
-        duration: end.saturating_since(SimTime::ZERO),
-        queue_peak: drive.queue_peak(),
-    })
+    run(DriveDevice::new(params, config), workload, Hooks::none())
 }
 
 /// Replays a workload against an array of `disks` drives of model
@@ -218,81 +215,156 @@ pub fn run_array(
     layout: Layout,
     workload: impl IntoRequestSource,
 ) -> Result<ArrayRunResult, DriveError> {
-    run_array_traced(params, member, disks, layout, workload, &mut NullRecorder)
+    let array = ArrayDevice::new(params, member, disks, layout);
+    run(array, workload, Hooks::none())
 }
 
-/// [`run_array`], recording telemetry events into `rec`.
-///
-/// Member-drive events land in scope `1 + disk`; the controller's
-/// logical submit/complete events land in scope 0.
-pub fn run_array_traced<R: Recorder>(
-    params: &DiskParams,
-    member: DriveConfig,
-    disks: usize,
-    layout: Layout,
-    workload: impl IntoRequestSource,
-    rec: &mut R,
-) -> Result<ArrayRunResult, DriveError> {
-    let mut source = CountingSource::new(workload.into_source());
-    let mut array = ArrayController::new(params, member, disks, layout);
-    let mut events: EventQueue<usize> = EventQueue::with_capacity(64);
-    let mut end = SimTime::ZERO;
-    // One-request lookahead: the only workload state the loop holds.
-    let mut pending = {
-        let _sp = prof::scope(Phase::SourcePull);
-        source.next_request()
-    };
-    loop {
-        let take_arrival = match (pending.map(|r| r.arrival), events.peek_time()) {
-            (None, None) => break,
-            (Some(a), Some(e)) => a <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_arrival {
-            let r = pending.take().expect("arrival pending");
-            pending = {
-                let _sp = prof::scope(Phase::SourcePull);
-                source.next_request()
-            };
-            end = end.max(r.arrival);
-            for (disk, t) in array.submit_traced(r, r.arrival, rec)? {
-                let _kp = prof::scope(Phase::KernelPush);
-                events.push(t, disk);
-            }
-        } else {
-            let ev = {
-                let _kp = prof::scope(Phase::KernelPop);
-                events.pop().expect("event pending")
-            };
-            end = end.max(ev.time);
-            let out = array.on_disk_complete_traced(ev.payload, ev.time, rec)?;
-            if let Some(t) = out.next_on_disk {
-                let _kp = prof::scope(Phase::KernelPush);
-                events.push(t, ev.payload);
-            }
-            for (disk, t) in out.started {
-                let _kp = prof::scope(Phase::KernelPush);
-                events.push(t, disk);
-            }
+/// One drive, with an optional SMART failure schedule applied as
+/// simulated time passes (§8's graceful-degradation study).
+#[derive(Debug, Clone)]
+pub struct DriveDevice {
+    drive: DiskDrive,
+    failures: FailureSchedule,
+}
+
+impl DriveDevice {
+    /// A healthy drive of model `params`, configured as `config`.
+    pub fn new(params: &DiskParams, config: DriveConfig) -> Self {
+        DriveDevice {
+            drive: DiskDrive::new(params, config),
+            failures: FailureSchedule::new(),
         }
     }
-    array.finalize(end);
-    let kernel = events.stats();
-    let member_queue_peak = (0..array.disk_count())
-        .map(|i| array.disk(i).queue_peak())
-        .max()
-        .unwrap_or(0);
-    let m = array.metrics();
-    Ok(ArrayRunResult {
-        response_time_ms: m.response_time_ms.clone(),
-        response_hist: m.response_hist.clone(),
-        power: array.power_breakdown(),
-        duration: end.saturating_since(SimTime::ZERO),
-        completed: m.completed,
-        kernel,
-        member_queue_peak,
-    })
+
+    /// Deconfigures actuators per `failures`, each at the first
+    /// arrival or event at or after its time.
+    pub fn with_failures(mut self, failures: FailureSchedule) -> Self {
+        self.failures = failures;
+        self
+    }
+
+    /// The drive, for observers reading its live metrics.
+    pub fn drive(&self) -> &DiskDrive {
+        &self.drive
+    }
+}
+
+impl Device for DriveDevice {
+    type Done = CompletedIo;
+    type Output = DriveRunResult;
+
+    fn next_event(&self) -> Option<SimTime> {
+        self.drive.next_completion()
+    }
+
+    fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
+        self.failures.apply_due(&mut self.drive, req.arrival);
+        self.drive.submit_traced(req, req.arrival, rec).map(drop)
+    }
+
+    fn advance<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        rec: &mut R,
+    ) -> Result<Option<CompletedIo>, DriveError> {
+        self.failures.apply_due(&mut self.drive, now);
+        let (done, _) = self.drive.complete_traced(now, rec)?;
+        Ok(Some(done))
+    }
+
+    fn finish(mut self, end: SimTime) -> DriveRunResult {
+        self.drive.finalize(end);
+        DriveRunResult {
+            power: self.drive.power_breakdown(),
+            queue_peak: self.drive.queue_peak(),
+            metrics: self.drive.metrics().clone(),
+            duration: end.saturating_since(SimTime::ZERO),
+        }
+    }
+}
+
+/// An [`ArrayController`] plus its calendar of per-disk completion
+/// events.
+///
+/// Member-drive telemetry lands in scope `1 + disk`; the controller's
+/// logical submit/complete events land in scope 0.
+#[derive(Debug)]
+pub struct ArrayDevice {
+    array: ArrayController,
+    events: EventQueue<usize>,
+}
+
+impl ArrayDevice {
+    /// An array of `disks` drives of model `params`, each configured as
+    /// `member`, laid out per `layout`.
+    pub fn new(params: &DiskParams, member: DriveConfig, disks: usize, layout: Layout) -> Self {
+        ArrayDevice {
+            array: ArrayController::new(params, member, disks, layout),
+            events: EventQueue::with_capacity(64),
+        }
+    }
+
+    fn schedule(&mut self, disk: usize, t: SimTime) {
+        let _kp = prof::scope(Phase::KernelPush);
+        self.events.push(t, disk);
+    }
+}
+
+impl Device for ArrayDevice {
+    type Done = LogicalCompletion;
+    type Output = ArrayRunResult;
+
+    fn next_event(&self) -> Option<SimTime> {
+        self.events.peek_time()
+    }
+
+    fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
+        for (disk, t) in self.array.submit_traced(req, req.arrival, rec)? {
+            self.schedule(disk, t);
+        }
+        Ok(())
+    }
+
+    fn advance<R: Recorder>(
+        &mut self,
+        _now: SimTime,
+        rec: &mut R,
+    ) -> Result<Option<LogicalCompletion>, DriveError> {
+        let ev = {
+            let _kp = prof::scope(Phase::KernelPop);
+            self.events.pop()
+        }
+        .ok_or(DriveError::NotInService)?;
+        let mut out = self
+            .array
+            .on_disk_complete_traced(ev.payload, ev.time, rec)?;
+        if let Some(t) = out.next_on_disk {
+            self.schedule(ev.payload, t);
+        }
+        for (disk, t) in out.started {
+            self.schedule(disk, t);
+        }
+        // One disk completion finishes at most one logical request.
+        Ok(out.finished.pop())
+    }
+
+    fn finish(mut self, end: SimTime) -> ArrayRunResult {
+        self.array.finalize(end);
+        let member_queue_peak = (0..self.array.disk_count())
+            .map(|i| self.array.disk(i).queue_peak())
+            .max()
+            .unwrap_or(0);
+        let m = self.array.metrics();
+        ArrayRunResult {
+            response_time_ms: m.response_time_ms.clone(),
+            response_hist: m.response_hist.clone(),
+            power: self.array.power_breakdown(),
+            duration: end.saturating_since(SimTime::ZERO),
+            completed: m.completed,
+            kernel: self.events.stats(),
+            member_queue_peak,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -385,8 +457,8 @@ mod tests {
         let healthy = run_drive(&params, DriveConfig::sa(2), &t).expect("replay succeeds");
         let mut sched = FailureSchedule::new();
         sched.push(SimTime::ZERO, 1); // lose the second arm immediately
-        let degraded = run_drive_with_failures(&params, DriveConfig::sa(2), &t, sched)
-            .expect("replay succeeds");
+        let drive = DriveDevice::new(&params, DriveConfig::sa(2)).with_failures(sched);
+        let degraded = run(drive, &t, Hooks::none()).expect("replay succeeds");
         assert_eq!(degraded.metrics.completed, 2_000);
         assert!(
             degraded.metrics.response_time_ms.mean() >= healthy.metrics.response_time_ms.mean(),

@@ -23,12 +23,14 @@ use std::path::Path;
 use array::Layout;
 use diskmodel::{DiskParams, PowerModel};
 use intradisk::{DriveConfig, OverlapMode};
-use telemetry::{chrome_trace_json, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
-use workload::{SyntheticSpec, Trace};
+use telemetry::{
+    chrome_trace_json, timeline_csv, ModePowers, Recorder, RingRecorder, TraceAnalysis,
+};
+use workload::SyntheticSpec;
 
 use crate::configs::{hcsd_params, Scale};
 use crate::metrics_export::ExportError;
-use crate::runner::{run_array_traced, run_drive_traced};
+use crate::runner::{run, ArrayDevice, DriveDevice, Hooks};
 
 /// Requests per trace scenario (capped by the run's `--requests`).
 ///
@@ -42,7 +44,7 @@ const TRACE_SEED: u64 = 42;
 
 /// Footprint of the scenario workloads (~100 GB, well inside every
 /// config).
-pub(crate) const TRACE_FOOTPRINT_SECTORS: u64 = 200_000_000;
+const TRACE_FOOTPRINT_SECTORS: u64 = 200_000_000;
 
 /// Derives the analyzer's power levels from the drive's power model,
 /// so telemetry-side energy uses exactly the constants the simulator
@@ -57,9 +59,67 @@ pub fn mode_powers(params: &DiskParams) -> ModePowers {
     }
 }
 
-pub(crate) fn scenario_trace(scale: Scale, footprint_sectors: u64) -> Trace {
+/// Replays the fixed scenarios that `--trace` and `--metrics` share —
+/// only those marked traced when `traced_only` — each into a fresh
+/// recorder from `new_rec`, and hands the recorder to `write`.
+pub(crate) fn replay_scenarios<R: Recorder>(
+    scale: Scale,
+    traced_only: bool,
+    mut new_rec: impl FnMut() -> R,
+    mut write: impl FnMut(&'static str, R) -> Result<(), ExportError>,
+) -> Result<(), ExportError> {
+    let params = hcsd_params();
     let n = scale.requests.min(TRACE_REQUESTS);
-    SyntheticSpec::paper(6.0, footprint_sectors, n).generate(TRACE_SEED)
+    let trace = SyntheticSpec::paper(6.0, TRACE_FOOTPRINT_SECTORS, n).generate(TRACE_SEED);
+    // (name, traced, drive or member config, (disks, layout) of an array)
+    let scenarios = [
+        // The limit study's two poles — the conventional high-capacity
+        // drive and its 4-actuator intra-disk parallel variant — and
+        // the 2-actuator midpoint on the metrics dashboard.
+        ("hcsd-sa1", true, DriveConfig::sa(1), None),
+        ("hcsd-sa2", false, DriveConfig::sa(2), None),
+        ("hcsd-sa4", true, DriveConfig::sa(4), None),
+        // Figure 8's direction: an array built from intra-disk parallel
+        // members, with RAID-5 parity traffic to make the per-member
+        // tracks interesting.
+        (
+            "array-raid5",
+            true,
+            DriveConfig::sa(2),
+            Some((4, Layout::raid5_default())),
+        ),
+        // The drive at its most concurrent overlap: per-arm channels,
+        // so seeks and transfers from different actuators interleave on
+        // the timeline.
+        (
+            "overlap-multichannel",
+            true,
+            DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel),
+            None,
+        ),
+    ];
+    for (name, traced, config, array) in scenarios {
+        if traced_only && !traced {
+            continue;
+        }
+        let mut rec = new_rec();
+        let hooks = Hooks::none().recorder(&mut rec);
+        let replayed = match array {
+            None => run(DriveDevice::new(&params, config), &trace, hooks).map(drop),
+            Some((disks, layout)) => run(
+                ArrayDevice::new(&params, config, disks, layout),
+                &trace,
+                hooks,
+            )
+            .map(drop),
+        };
+        replayed.map_err(|source| ExportError::Simulation {
+            scenario: name,
+            source,
+        })?;
+        write(name, rec)?;
+    }
+    Ok(())
 }
 
 fn analysis_text(rec: &RingRecorder, powers: &ModePowers) -> String {
@@ -127,55 +187,13 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         source,
     })?;
     let mut files = Vec::new();
-    let mut drops: Vec<(&'static str, u64)> = Vec::new();
-    let params = hcsd_params();
-    let powers = mode_powers(&params);
-    let trace = scenario_trace(scale, TRACE_FOOTPRINT_SECTORS);
-
-    // The limit study's two poles: the conventional high-capacity
-    // drive and its 4-actuator intra-disk parallel variant.
-    for (name, actuators) in [("hcsd-sa1", 1u32), ("hcsd-sa4", 4u32)] {
-        let mut rec = RingRecorder::new();
-        run_drive_traced(&params, DriveConfig::sa(actuators), &trace, &mut rec)
-            .map_err(|source| ExportError::Simulation { scenario: name, source })?;
+    let mut drops = Vec::new();
+    let powers = mode_powers(&hcsd_params());
+    replay_scenarios(scale, true, RingRecorder::new, |name, rec| {
         write_scenario(dir, name, &rec, &powers, &mut files)?;
         drops.push((name, rec.dropped()));
-    }
-
-    // Figure 8's direction: an array built from intra-disk parallel
-    // members, here with RAID-5 parity traffic to make the per-member
-    // tracks interesting.
-    {
-        let layout = Layout::raid5_default();
-        let disks = 4;
-        let array_trace = scenario_trace(scale, TRACE_FOOTPRINT_SECTORS);
-        let mut rec = RingRecorder::new();
-        run_array_traced(
-            &params,
-            DriveConfig::sa(2),
-            disks,
-            layout,
-            &array_trace,
-            &mut rec,
-        )
-        .map_err(|source| ExportError::Simulation { scenario: "array-raid5", source })?;
-        write_scenario(dir, "array-raid5", &rec, &powers, &mut files)?;
-        drops.push(("array-raid5", rec.dropped()));
-    }
-
-    // The drive at its most concurrent overlap: per-arm channels,
-    // so seeks and transfers from different actuators interleave on
-    // the timeline.
-    {
-        let mut rec = RingRecorder::new();
-        let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
-        run_drive_traced(&params, config, &trace, &mut rec).map_err(|source| {
-            ExportError::Simulation { scenario: "overlap-multichannel", source }
-        })?;
-        write_scenario(dir, "overlap-multichannel", &rec, &powers, &mut files)?;
-        drops.push(("overlap-multichannel", rec.dropped()));
-    }
-
+        Ok(())
+    })?;
     Ok(TraceExport { files, drops })
 }
 

@@ -20,13 +20,15 @@
 //!
 //! [`SeekProfile::mean_random_seek`]: diskmodel::SeekProfile::mean_random_seek
 
-use diskmodel::{presets, DriveError, SeekProfile};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, QueuePolicy};
-use simkit::{Rng64, SimDuration, SimTime};
+use diskmodel::{presets, DiskParams, DriveError, Geometry, SeekProfile};
+use intradisk::{DriveConfig, DriveMetrics, IoKind, IoRequest, QueuePolicy};
+use simkit::{Rng64, SimDuration, SimTime, StatsMode};
+use workload::Trace;
 
 use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
+use crate::runner::run_drive;
 
 /// One validation check.
 #[derive(Debug, Clone)]
@@ -53,29 +55,17 @@ impl ValidationRow {
     }
 }
 
-fn replay(drive: &mut DiskDrive, reqs: &[IoRequest]) -> Result<(), DriveError> {
-    let mut completion: Option<SimTime> = None;
-    let mut i = 0;
-    loop {
-        let arrival = reqs.get(i).map(|r| r.arrival);
-        let take = match (arrival, completion) {
-            (None, None) => break,
-            (Some(a), Some(c)) => a <= c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take {
-            let r = reqs[i];
-            i += 1;
-            if let Some(f) = drive.submit(r, r.arrival)? {
-                completion = Some(f);
-            }
-        } else {
-            let (_, next) = drive.complete(completion.expect("pending"))?;
-            completion = next;
-        }
-    }
-    Ok(())
+/// Replays `reqs` on a fresh drive and returns its metrics. The checks
+/// read only means, which streaming stats give bit for bit without
+/// retaining (and sorting) every sample.
+fn replay(
+    params: &DiskParams,
+    config: DriveConfig,
+    reqs: Vec<IoRequest>,
+) -> Result<DriveMetrics, DriveError> {
+    let trace = Trace::new("validate", reqs, params.capacity_sectors());
+    let config = config.with_stats_mode(StatsMode::Streaming);
+    Ok(run_drive(params, config, &trace)?.metrics)
 }
 
 fn random_reads(cap: u64, n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
@@ -96,17 +86,14 @@ fn random_reads(cap: u64, n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
 /// Check 1: FCFS random access sees a mean rotational wait of `T/2`.
 pub fn check_rotational_latency() -> Result<ValidationRow, DriveError> {
     let params = presets::barracuda_es_750gb();
-    let mut drive = DiskDrive::new(
-        &params,
-        DriveConfig::conventional().with_policy(QueuePolicy::Fcfs),
-    );
+    let config = DriveConfig::conventional().with_policy(QueuePolicy::Fcfs);
     // Light load so there is no queue for FCFS to reorder anyway.
-    let reqs = random_reads(drive.capacity_sectors(), 4_000, 25.0, 11);
-    replay(&mut drive, &reqs)?;
+    let reqs = random_reads(Geometry::new(&params).total_sectors(), 4_000, 25.0, 11);
+    let metrics = replay(&params, config, reqs)?;
     Ok(ValidationRow {
         check: "mean rotational wait, FCFS random (T/2)".to_string(),
         analytic: params.rotation_period().as_millis() / 2.0,
-        simulated: drive.metrics().rotational_ms.mean(),
+        simulated: metrics.rotational_ms.mean(),
         tolerance: 0.05,
     })
 }
@@ -116,16 +103,13 @@ pub fn check_rotational_latency() -> Result<ValidationRow, DriveError> {
 pub fn check_mean_seek() -> Result<ValidationRow, DriveError> {
     let params = presets::barracuda_es_750gb();
     let profile = SeekProfile::new(&params);
-    let mut drive = DiskDrive::new(
-        &params,
-        DriveConfig::conventional().with_policy(QueuePolicy::Fcfs),
-    );
-    let reqs = random_reads(drive.capacity_sectors(), 4_000, 25.0, 12);
-    replay(&mut drive, &reqs)?;
+    let config = DriveConfig::conventional().with_policy(QueuePolicy::Fcfs);
+    let reqs = random_reads(Geometry::new(&params).total_sectors(), 4_000, 25.0, 12);
+    let metrics = replay(&params, config, reqs)?;
     Ok(ValidationRow {
         check: "mean seek, FCFS random (curve expectation)".to_string(),
         analytic: profile.mean_random_seek().as_millis(),
-        simulated: drive.metrics().seek_ms.mean(),
+        simulated: metrics.seek_ms.mean(),
         // LBAs are uniform over *sectors* (outer cylinders hold more),
         // so the simulated distribution is mildly outer-weighted.
         tolerance: 0.10,
@@ -175,27 +159,21 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
     // controller overhead + transfer: a near-deterministic M/D/1.
     use intradisk::LatencyScaling;
     let params = presets::barracuda_es_750gb();
-    let make = || {
-        DiskDrive::new(
-            &params,
-            DriveConfig::conventional()
-                .with_policy(QueuePolicy::Fcfs)
-                .with_scaling(LatencyScaling {
-                    seek: 0.0,
-                    rotational: 0.0,
-                }),
-        )
-    };
+    let config = DriveConfig::conventional()
+        .with_policy(QueuePolicy::Fcfs)
+        .with_scaling(LatencyScaling {
+            seek: 0.0,
+            rotational: 0.0,
+        });
     // Measure the fixed service time from an isolated request.
-    let mut probe = make();
     let r0 = IoRequest::new(0, SimTime::ZERO, 0, 1, IoKind::Read);
-    let f = probe.submit(r0, SimTime::ZERO)?.expect("idle drive serves immediately");
-    let service_ms = (f - SimTime::ZERO).as_millis();
-    let _ = probe.complete(f)?;
+    let service_ms = replay(&params, config.clone(), vec![r0])?
+        .response_time_ms
+        .mean();
 
     // Run at two utilizations with Poisson arrivals.
+    let cap = Geometry::new(&params).total_sectors();
     let run = |rho: f64, seed: u64| -> Result<f64, DriveError> {
-        let mut drive = make();
         let mut rng = Rng64::new(seed);
         let mean_gap = service_ms / rho;
         let mut t = SimTime::ZERO;
@@ -204,11 +182,11 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
                 t += SimDuration::from_millis(-mean_gap * rng.f64_open().ln());
                 // Distinct uncached blocks so every request pays the
                 // same media path.
-                IoRequest::new(i, t, (i * 1_000_003) % drive.capacity_sectors(), 1, IoKind::Write)
+                IoRequest::new(i, t, (i * 1_000_003) % cap, 1, IoKind::Write)
             })
             .collect();
-        replay(&mut drive, &reqs)?;
-        Ok(drive.metrics().response_time_ms.mean() - service_ms)
+        let metrics = replay(&params, config.clone(), reqs)?;
+        Ok(metrics.response_time_ms.mean() - service_ms)
     };
     let w_low = run(0.3, 14)?;
     let w_high = run(0.7, 15)?;

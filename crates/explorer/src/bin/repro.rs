@@ -420,12 +420,13 @@ impl HeartbeatObserver {
     }
 }
 
-impl experiments::RunObserver for HeartbeatObserver {
-    fn on_complete(&mut self, _done: &intradisk::CompletedIo, metrics: &intradisk::DriveMetrics) {
+impl experiments::RunObserver<experiments::DriveDevice> for HeartbeatObserver {
+    fn on_complete(&mut self, _done: &intradisk::CompletedIo, device: &experiments::DriveDevice) {
         self.completed += 1;
         if self.completed & Self::CHECK_MASK != 0 {
             return;
         }
+        let metrics = device.drive().metrics();
         self.hb.maybe_beat(self.completed, || {
             metrics.response_time_ms.percentile_stream(90.0)
         });
@@ -456,15 +457,11 @@ fn run_scale(args: &Args) -> Result<(), String> {
     let config = intradisk::DriveConfig::sa(args.actuators).with_stats_mode(args.scale.stats);
     let r = if let Some(every) = args.heartbeat_secs {
         let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
-        let mut obs =
-            HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
-        experiments::run_drive_observed(
-            &params,
-            config,
+        let obs = HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
+        experiments::run(
+            experiments::DriveDevice::new(&params, config),
             spec.source(args.scale.seed),
-            intradisk::failure::FailureSchedule::new(),
-            &mut telemetry::NullRecorder,
-            &mut obs,
+            experiments::Hooks::none().observer(obs),
         )
     } else {
         experiments::run_drive(&params, config, spec.source(args.scale.seed))

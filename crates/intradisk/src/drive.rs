@@ -697,19 +697,7 @@ impl DiskDrive {
             .modes
             .add(DriveMode::Transfer.key(), plan.transfer);
 
-        let done = CompletedIo {
-            request: req,
-            completed: finish,
-            breakdown: ServiceBreakdown {
-                queue: queue_wait,
-                overhead,
-                seek: plan.seek,
-                rotational: plan.rotational,
-                transfer: plan.transfer,
-            },
-            cache_hit: false,
-            actuator: plan.actuator,
-        };
+        let done = plan.completion(req, finish, queue_wait, overhead);
         Ok(self.admit(done, req.kind.is_read().then_some((req.lba, req.sectors))))
     }
 

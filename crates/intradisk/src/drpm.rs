@@ -8,21 +8,26 @@
 //! spindle power (∝ RPM^2.8) during lulls at the cost of slower service
 //! and speed-transition delays.
 //!
-//! [`replay`] models a two-speed drive: it services requests at full
-//! or low RPM, lazily downshifting after a configurable idle period and
-//! upshifting (paying a transition delay) when the queue depth crosses
-//! a threshold. Energy is integrated directly (speed-dependent idle
-//! power levels don't fit the four-mode breakdown of the stacked bars).
+//! [`DrpmDrive`] models a two-speed drive: it services requests at
+//! full or low RPM, lazily downshifting after a configurable idle
+//! period and upshifting (paying a transition delay) when the queue
+//! depth crosses a threshold. Energy is integrated directly
+//! (speed-dependent idle power levels don't fit the four-mode breakdown
+//! of the stacked bars). Like [`crate::DiskDrive`] it is a passive
+//! state machine; `experiments::runner::run` drives it from the same
+//! event loop as every other device.
 //!
 //! The `experiments::extensions` module compares this baseline against
 //! a fixed low-RPM intra-disk parallel drive on the paper's workloads.
 
-use diskmodel::{DiskParams, PowerModel};
+use diskmodel::{DiskParams, DriveError, PowerModel};
 use simkit::{ResponseStats, SimDuration, SimTime};
+use telemetry::Recorder;
 
-use crate::request::{IoKind, IoRequest};
+use crate::device::Device;
+use crate::request::{CompletedIo, IoRequest};
 use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmSet, ArmState, LatencyScaling, Mechanics, PlanTimes};
+use crate::service::{ArmSet, LatencyScaling, Mechanics, PlanTimes};
 
 /// Configuration of the DRPM policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +55,7 @@ impl DrpmConfig {
     }
 }
 
-/// Results of a DRPM replay.
+/// Results of a DRPM run.
 #[derive(Debug, Clone)]
 pub struct DrpmResult {
     /// Response times, ms.
@@ -78,102 +83,99 @@ impl DrpmResult {
     }
 }
 
+#[derive(Debug, Clone)]
 struct Speed {
     mech: Mechanics,
     power: PowerModel,
 }
 
-/// Replays a trace against a two-speed DRPM drive and reports response
-/// time and energy.
+/// A two-speed DRPM drive as a passive event-driven state machine.
 ///
 /// The drive services one request at a time with SPTF over a bounded
 /// window (like [`crate::DiskDrive`]) but may be in the low-speed state
 /// when a request arrives; it upshifts — paying the transition — only
-/// when the queue reaches the configured depth.
-pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -> DrpmResult {
-    assert!(config.low_rpm > 0 && config.low_rpm < params.rpm());
-    let full = Speed {
-        mech: Mechanics::new(params),
-        power: PowerModel::new(params),
-    };
-    let low_params = params.with_rpm(config.low_rpm);
-    let low = Speed {
-        mech: Mechanics::new(&low_params),
-        power: PowerModel::new(&low_params),
-    };
+/// when the queue reaches the configured depth. An idle drive decides
+/// at the instant a request arrives; since the [`Device`] owner submits
+/// an arrival before an event at the same instant, every simultaneous
+/// arrival is queued before SPTF and the upshift check run.
+#[derive(Debug, Clone)]
+pub struct DrpmDrive {
+    config: DrpmConfig,
+    full: Speed,
+    low: Speed,
+    arm: ArmSet,
+    queue: PendingQueue,
+    overhead: SimDuration,
+    response: ResponseStats,
+    energy_j: f64,
+    low_time: SimDuration,
+    upshifts: u64,
+    at_low: bool,
+    /// When the drive last went idle (nothing queued or in service).
+    idle_since: SimTime,
+    /// The next decision instant; `None` while idle.
+    next: Option<SimTime>,
+    /// The request in service, completing at `next`.
+    in_service: Option<CompletedIo>,
+}
 
-    let mut arm = ArmSet::from_arms(&[ArmState {
-        azimuth: 0.0,
-        cylinder: 0,
-        failed: false,
-    }]);
-    let mut queue = PendingQueue::with_window(DEFAULT_WINDOW);
-    let mut response = ResponseStats::exact();
-    let mut energy_j = 0.0;
-    let mut low_time = SimDuration::ZERO;
-    let mut upshifts = 0u64;
-
-    let capacity = full.mech.geometry().total_sectors();
-    let overhead = params.controller_overhead();
-
-    // Simulation state: the drive alternates between servicing the
-    // queue head-of-line (chosen by SPTF) and sitting idle until the
-    // next arrival. Speed changes are decided at those boundaries.
-    let mut now = SimTime::ZERO;
-    let mut at_low = false;
-    let mut i = 0usize;
-    let charge = |e: &mut f64, power_w: f64, dt: SimDuration| {
-        *e += power_w * dt.as_secs();
-    };
-
-    loop {
-        // Refill the queue with everything that has arrived by `now`.
-        while i < requests.len() && requests[i].arrival <= now {
-            queue.push(requests[i]);
-            i += 1;
+impl DrpmDrive {
+    /// Builds an idle drive at full speed.
+    ///
+    /// # Errors
+    /// [`DriveError::InvalidConfig`] unless `0 < config.low_rpm <
+    /// params.rpm()`.
+    pub fn new(params: &DiskParams, config: DrpmConfig) -> Result<Self, DriveError> {
+        if config.low_rpm == 0 || config.low_rpm >= params.rpm() {
+            return Err(DriveError::InvalidConfig {
+                reason: "DRPM low_rpm must lie strictly between 0 and the full speed",
+            });
         }
-        if queue.is_empty() {
-            match requests.get(i) {
-                None => break,
-                Some(next) => {
-                    // Idle until the next arrival; downshift lazily.
-                    let gap = next.arrival - now;
-                    if !at_low && gap >= config.spin_down_after {
-                        charge(&mut energy_j, full.power.idle_w(), config.spin_down_after);
-                        let remaining = gap - config.spin_down_after;
-                        charge(&mut energy_j, low.power.idle_w(), remaining);
-                        low_time += remaining;
-                        at_low = true;
-                    } else {
-                        let idle_power = if at_low {
-                            low.power.idle_w()
-                        } else {
-                            full.power.idle_w()
-                        };
-                        charge(&mut energy_j, idle_power, gap);
-                        if at_low {
-                            low_time += gap;
-                        }
-                    }
-                    now = next.arrival;
-                    continue;
-                }
-            }
-        }
+        let full = Speed {
+            mech: Mechanics::new(params),
+            power: PowerModel::new(params),
+        };
+        let low_params = params.with_rpm(config.low_rpm);
+        let low = Speed {
+            mech: Mechanics::new(&low_params),
+            power: PowerModel::new(&low_params),
+        };
+        Ok(DrpmDrive {
+            config,
+            arm: ArmSet::from_arms(&full.mech.default_arms(1)),
+            full,
+            low,
+            queue: PendingQueue::with_window(DEFAULT_WINDOW),
+            overhead: params.controller_overhead(),
+            response: ResponseStats::exact(),
+            energy_j: 0.0,
+            low_time: SimDuration::ZERO,
+            upshifts: 0,
+            at_low: false,
+            idle_since: SimTime::ZERO,
+            next: None,
+            in_service: None,
+        })
+    }
 
-        // Upshift decision at a service boundary.
-        if at_low && queue.len() >= config.upshift_queue {
-            charge(&mut energy_j, full.power.seek_w(0), config.transition);
-            now += config.transition;
-            at_low = false;
-            upshifts += 1;
-            continue; // re-collect arrivals during the transition
-        }
+    fn charge(&mut self, power_w: f64, dt: SimDuration) {
+        self.energy_j += power_w * dt.as_secs();
+    }
 
-        let speed = if at_low { &low } else { &full };
-        let start = now + overhead;
-        let mech = &speed.mech;
-        let (cylinder, azimuth) = (arm.cylinder(0), arm.azimuth(0));
+    fn decide(&mut self, now: SimTime) -> Result<(), DriveError> {
+        if self.at_low && !self.queue.is_empty() && self.queue.len() >= self.config.upshift_queue {
+            self.charge(self.full.power.seek_w(0), self.config.transition);
+            self.at_low = false;
+            self.upshifts += 1;
+            // Arrivals during the transition queue up before the
+            // next decision.
+            self.next = Some(now + self.config.transition);
+            return Ok(());
+        }
+        let speed = if self.at_low { &self.low } else { &self.full };
+        let start = now + self.overhead;
+        let (mech, capacity) = (&speed.mech, self.full.mech.geometry().total_sectors());
+        let (cylinder, azimuth) = (self.arm.cylinder(0), self.arm.azimuth(0));
         let cost = |r: &IoRequest| {
             let (s, rot) = mech.positioning_at(
                 cylinder,
@@ -185,142 +187,103 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
             );
             s + rot
         };
-        // The queue was checked non-empty above and the single arm is
-        // never deconfigured, so neither of these can miss; bail out of
-        // the replay rather than panic if the invariant is ever broken.
-        let Some(req) = queue.pop_next(QueuePolicy::Sptf, cost) else {
-            break;
+        let Some(req) = self.queue.pop_next(QueuePolicy::Sptf, cost) else {
+            self.idle_since = now;
+            self.next = None;
+            return Ok(());
         };
-        let lba = req.lba % capacity;
-        let Ok(plan) = speed.mech.plan_set_with_heads(
-            &arm,
+        let plan = mech.plan_set_with_heads(
+            &self.arm,
             1,
-            lba,
+            req.lba % capacity,
             req.sectors,
             PlanTimes::at(start),
             LatencyScaling::none(),
-        ) else {
-            break;
-        };
+        )?;
         let finish = start + plan.total();
         // Energy: overhead+rotation at idle level, seek with VCM,
-        // transfer with channel.
-        charge(&mut energy_j, speed.power.idle_w(), overhead + plan.rotational);
-        charge(&mut energy_j, speed.power.seek_w(1), plan.seek);
-        charge(&mut energy_j, speed.power.transfer_w(), plan.transfer);
-        if at_low {
-            low_time += finish - now;
+        // transfer with channel. Reads and writes cost alike.
+        let p = &speed.power;
+        let (idle_w, seek_w, transfer_w) = (p.idle_w(), p.seek_w(1), p.transfer_w());
+        self.charge(idle_w, self.overhead + plan.rotational);
+        self.charge(seek_w, plan.seek);
+        self.charge(transfer_w, plan.transfer);
+        if self.at_low {
+            self.low_time += finish - now;
         }
-        arm.set_cylinder(0, plan.end_cylinder);
-        let _ = req.kind == IoKind::Write; // writes and reads cost alike here
-        response.record((finish - req.arrival).as_millis());
-        now = finish;
-    }
-
-    let duration = now - SimTime::ZERO;
-    DrpmResult {
-        completed: response.count() as u64,
-        response_time_ms: response,
-        energy_j,
-        duration,
-        low_speed_fraction: if duration.is_zero() {
-            0.0
-        } else {
-            low_time.as_millis() / duration.as_millis()
-        },
-        upshifts,
+        self.arm.set_cylinder(0, plan.end_cylinder);
+        self.response.record((finish - req.arrival).as_millis());
+        let queue = now.saturating_since(req.arrival);
+        self.in_service = Some(plan.completion(req, finish, queue, self.overhead));
+        self.next = Some(finish);
+        Ok(())
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use diskmodel::presets;
-    use simkit::Rng64;
+impl Device for DrpmDrive {
+    type Done = CompletedIo;
+    type Output = DrpmResult;
 
-    fn requests(n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
-        let params = presets::barracuda_es_750gb();
-        let cap = Mechanics::new(&params).geometry().total_sectors();
-        let mut rng = Rng64::new(seed);
-        let mut t = SimTime::ZERO;
-        (0..n)
-            .map(|i| {
-                t += SimDuration::from_millis(rng.f64() * 2.0 * gap_ms);
-                IoRequest::new(i, t, rng.below(cap), 8, IoKind::Read)
-            })
-            .collect()
+    /// The next decision: a service completion, the end of a speed
+    /// transition, or the first decision after going idle.
+    fn next_event(&self) -> Option<SimTime> {
+        self.next
     }
 
-    #[test]
-    fn completes_everything() {
-        let params = presets::barracuda_es_750gb();
-        let reqs = requests(500, 10.0, 1);
-        let r = replay(&params, DrpmConfig::typical(), &reqs);
-        assert_eq!(r.completed, 500);
-        assert!(r.average_power_w() > 0.0);
-    }
-
-    #[test]
-    fn bursty_idle_load_spends_time_at_low_speed() {
-        let params = presets::barracuda_es_750gb();
-        // Widely spaced requests: mostly idle, big spin-down opportunity.
-        let reqs = requests(100, 3_000.0, 2);
-        let r = replay(&params, DrpmConfig::typical(), &reqs);
-        assert!(
-            r.low_speed_fraction > 0.5,
-            "low-speed fraction {}",
-            r.low_speed_fraction
-        );
-        // And saves real power vs. a full-speed drive idling.
-        let full_idle = PowerModel::new(&params).idle_w();
-        assert!(r.average_power_w() < full_idle * 0.85, "{}", r.average_power_w());
-    }
-
-    #[test]
-    fn sustained_load_stays_at_full_speed() {
-        let params = presets::barracuda_es_750gb();
-        let reqs = requests(1_000, 6.0, 3);
-        let r = replay(&params, DrpmConfig::typical(), &reqs);
-        assert!(
-            r.low_speed_fraction < 0.05,
-            "low fraction {}",
-            r.low_speed_fraction
-        );
-    }
-
-    #[test]
-    fn upshift_pays_latency() {
-        let params = presets::barracuda_es_750gb();
-        // Long idle (downshift), then a burst (upshift + transition).
-        let mut reqs = Vec::new();
-        for i in 0..50u64 {
-            reqs.push(IoRequest::new(
-                i,
-                SimTime::from_millis(10_000.0 + i as f64),
-                i * 1_000_000,
-                8,
-                IoKind::Read,
-            ));
+    /// Queues a request. An idle drive first charges the idle gap,
+    /// downshifting lazily once it exceeds the spin-down period, and
+    /// decides at the arrival instant.
+    fn submit<R: Recorder>(&mut self, req: IoRequest, _rec: &mut R) -> Result<(), DriveError> {
+        if self.next.is_none() {
+            let gap = req.arrival.saturating_since(self.idle_since);
+            let (full_w, low_w) = (self.full.power.idle_w(), self.low.power.idle_w());
+            let spin_down = self.config.spin_down_after;
+            if !self.at_low && gap >= spin_down {
+                self.charge(full_w, spin_down);
+                self.charge(low_w, gap - spin_down);
+                self.low_time += gap - spin_down;
+                self.at_low = true;
+            } else if self.at_low {
+                self.charge(low_w, gap);
+                self.low_time += gap;
+            } else {
+                self.charge(full_w, gap);
+            }
+            self.next = Some(req.arrival);
         }
-        let r = replay(&params, DrpmConfig::typical(), &reqs);
-        assert!(r.upshifts >= 1);
-        // The burst behind the transition sees >1.5 s responses.
-        assert!(
-            r.response_time_ms.max() > 1_000.0,
-            "max {}",
-            r.response_time_ms.max()
-        );
+        self.queue.push(req);
+        Ok(())
     }
 
-    #[test]
-    fn low_speed_service_is_slower_but_works() {
-        let params = presets::barracuda_es_750gb();
-        // Sparse singles: each serviced at low speed without upshift.
-        let reqs = requests(50, 5_000.0, 4);
-        let r = replay(&params, DrpmConfig::typical(), &reqs);
-        assert_eq!(r.upshifts, 0);
-        assert_eq!(r.completed, 50);
-        // Mean service reflects the 4200-RPM rotation (~7.1 ms half-rev).
-        assert!(r.response_time_ms.mean() > 5.0);
+    /// Completes the request in service (returned), then upshifts,
+    /// starts the next request, or goes idle.
+    fn advance<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        _rec: &mut R,
+    ) -> Result<Option<CompletedIo>, DriveError> {
+        let promised = self.next.ok_or(DriveError::NotInService)?;
+        if promised != now {
+            return Err(DriveError::WrongCompletionTime { promised, at: now });
+        }
+        let done = self.in_service.take();
+        self.decide(now)?;
+        Ok(done)
+    }
+
+    fn finish(self, end: SimTime) -> DrpmResult {
+        let duration = end.saturating_since(SimTime::ZERO);
+        DrpmResult {
+            completed: self.response.count() as u64,
+            response_time_ms: self.response,
+            energy_j: self.energy_j,
+            duration,
+            low_speed_fraction: if duration.is_zero() {
+                0.0
+            } else {
+                self.low_time.as_millis() / duration.as_millis()
+            },
+            upshifts: self.upshifts,
+        }
     }
 }

@@ -60,6 +60,7 @@
 pub mod cache;
 pub mod counters;
 pub mod dash;
+pub mod device;
 pub mod drive;
 pub mod drpm;
 pub mod failure;
@@ -71,6 +72,7 @@ pub mod service;
 
 pub use cache::SegmentedCache;
 pub use dash::DashConfig;
+pub use device::Device;
 pub use drive::{ArmPlacement, DiskDrive, DriveConfig, LatencyScaling, OverlapMode};
 pub use metrics::{DriveMetrics, DriveMode, PowerBreakdown};
 pub use request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};

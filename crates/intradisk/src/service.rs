@@ -11,6 +11,8 @@
 use diskmodel::{DriveError, Geometry, RotationModel, SeekProfile};
 use simkit::{SimDuration, SimTime};
 
+use crate::request::{CompletedIo, IoRequest, ServiceBreakdown};
+
 /// Scaling knobs of the limit study's bottleneck analysis (Figure 4):
 /// multiply every seek and/or every rotational latency by a constant
 /// (1, ½, ¼, or 0).
@@ -269,6 +271,31 @@ impl ServicePlan {
     /// Total mechanical time.
     pub fn total(&self) -> SimDuration {
         self.seek + self.rotational + self.transfer
+    }
+
+    /// The record of `request` served by this plan: it waited `queue`,
+    /// paid `overhead`, and completed at `completed`.
+    pub fn completion(
+        &self,
+        request: IoRequest,
+        completed: SimTime,
+        queue: SimDuration,
+        overhead: SimDuration,
+    ) -> CompletedIo {
+        let (seek, rotational, transfer) = (self.seek, self.rotational, self.transfer);
+        CompletedIo {
+            request,
+            completed,
+            breakdown: ServiceBreakdown {
+                queue,
+                overhead,
+                seek,
+                rotational,
+                transfer,
+            },
+            cache_hit: false,
+            actuator: self.actuator,
+        }
     }
 }
 

@@ -19,7 +19,9 @@
 # cache directories must be gitignored), the
 # bounded-RSS gate (a 10^7-request streaming-stats run must stay under
 # a fixed memory budget, proving request count never reaches peak
-# memory), and then the event-kernel swap gates (report and exports byte-identical to
+# memory), the examples golden (the power_management and
+# actuator_failure examples' stdout byte-identical to
+# tests/goldens/examples.txt), and then the event-kernel swap gates (report and exports byte-identical to
 # the goldens pinned on the retired binary-heap kernel, the named
 # kernel-swap golden oracles, the differential property suite, and a
 # throughput floor: the timing wheel must not be slower than the
@@ -133,6 +135,17 @@ rss_kb=$(sed -n 's/^\[max-rss-kb: \([0-9]*\)\]$/\1/p' "$sweep_dir/scale.err")
 echo "    max RSS ${rss_kb} kB"
 test -n "$rss_kb" && test "$rss_kb" -le 65536 \
   || { echo "streaming 10^7 run exceeded the 65536 kB RSS budget" >&2; exit 1; }
+
+echo "==> gate: examples byte-identical to tests/goldens/examples.txt"
+# The two examples that drive the DRPM/MAID devices and the actuator
+# failure schedule through the one run loop; their stdout was pinned
+# on the per-device replay loops that loop replaced.
+cargo build --release -p experiments --example power_management --example actuator_failure
+{
+  target/release/examples/power_management
+  target/release/examples/actuator_failure
+} > "$sweep_dir/examples.txt"
+cmp "$sweep_dir/examples.txt" tests/goldens/examples.txt
 
 echo "==> gate: kernel-swap golden oracles (ignored-by-default, run here by name)"
 cargo test -q --test oracles -- --include-ignored golden_kernel_swap

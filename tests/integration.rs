@@ -27,8 +27,8 @@ fn run_drive_with_failures(
     trace: &Trace,
     failures: FailureSchedule,
 ) -> DriveRunResult {
-    experiments::run_drive_with_failures(params, config, trace, failures)
-        .expect("replay succeeds")
+    let drive = experiments::DriveDevice::new(params, config).with_failures(failures);
+    experiments::run(drive, trace, experiments::Hooks::none()).expect("replay succeeds")
 }
 
 fn run_array(

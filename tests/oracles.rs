@@ -13,8 +13,8 @@
 //! * scaling RPM moves latency (and spindle power) monotonically.
 //!
 //! Golden oracles pin what must not move: the `repro` report and export
-//! hashes, and SHA-256 digests of every overlap mode's completion
-//! records.
+//! hashes, SHA-256 digests of every overlap mode's completion records,
+//! and SHA-256 digests of every DRPM and MAID result field.
 
 use diskmodel::{presets, DiskParams, PowerModel, RotationModel};
 use experiments::{ArrayRunResult, DriveRunResult};
@@ -275,8 +275,12 @@ fn oracle_telemetry_agrees_with_power_accounting() {
     let powers = experiments::tracing::mode_powers(&params);
     for actuators in [1u32, 4] {
         let mut rec = RingRecorder::new();
-        let r = experiments::run_drive_traced(&params, DriveConfig::sa(actuators), &t, &mut rec)
-            .expect("replay succeeds");
+        let r = experiments::run(
+            experiments::DriveDevice::new(&params, DriveConfig::sa(actuators)),
+            &t,
+            experiments::Hooks::none().recorder(&mut rec),
+        )
+        .expect("replay succeeds");
         assert_eq!(rec.dropped(), 0, "ring overflowed");
         let analysis = TraceAnalysis::from_samples(&rec.sorted_samples());
         let scope = analysis.scope(0).expect("scope 0 present");
@@ -761,8 +765,8 @@ fn mixed_requests(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
 #[derive(Default)]
 struct RecordLog(String);
 
-impl experiments::RunObserver for RecordLog {
-    fn on_complete(&mut self, d: &CompletedIo, _metrics: &intradisk::DriveMetrics) {
+impl<D: experiments::Device<Done = CompletedIo>> experiments::RunObserver<D> for RecordLog {
+    fn on_complete(&mut self, d: &CompletedIo, _device: &D) {
         use std::fmt::Write as _;
         let b = &d.breakdown;
         let _ = writeln!(
@@ -793,13 +797,10 @@ fn oracle_overlap_modes_reproduce_pinned_digests() {
         let trace = Trace::new("overlap-pin", reqs, params.capacity_sectors());
         for &(mode, n, _, want) in OVERLAP_DIGESTS.iter().filter(|p| p.2 == seed) {
             let mut log = RecordLog::default();
-            let r = experiments::run_drive_observed(
-                &params,
-                DriveConfig::sa(n).with_overlap(mode),
+            let r = experiments::run(
+                experiments::DriveDevice::new(&params, DriveConfig::sa(n).with_overlap(mode)),
                 &trace,
-                intradisk::failure::FailureSchedule::new(),
-                &mut telemetry::NullRecorder,
-                &mut log,
+                experiments::Hooks::none().observer(&mut log),
             )
             .expect("replay succeeds");
             assert!(r.metrics.cache_hits > 0, "{mode:?} SA({n}) seed {seed}: no cache hits");
@@ -812,5 +813,118 @@ fn oracle_overlap_modes_reproduce_pinned_digests() {
                 "{mode:?} SA({n}) seed {seed}"
             );
         }
+    }
+}
+
+#[path = "support/power.rs"]
+mod power;
+
+/// SHA-256 over every [`DrpmResult`](intradisk::drpm::DrpmResult)
+/// field — each f64 as its bits, the response statistics as their
+/// moments, percentiles and streaming state — per input of
+/// [`drpm_pin_inputs`], in order. Taken from the DRPM baseline's own
+/// replay loop before it became a device of the one run loop.
+const DRPM_DIGESTS: [(&str, &str); 14] = [
+    ("Financial-2000", "45e53b502f2cde613e3b138577dba68a4dc45070efa92039f33322e383c54343"),
+    ("Websearch-2000", "dd5c001dcd50e60e5efb5fdeca095f9f7dd9e2c0829b588a3247981dbb366bde"),
+    ("TPC-C-2000", "c2f0de7ae4c6eade8fcf43dba1e3157f3b433ac0994ce4e1d3fabcc4c416f180"),
+    ("TPC-H-2000", "ea10e1807d6c8a52c2ee68da51ef941b4725a6d40852e4698b9adf1447d16de4"),
+    ("Financial-20000", "aa22b1e9a3bb5f80605e8299e8d1540a0f2b334ed32e83b692e56eb9d3bf7bde"),
+    ("Websearch-20000", "b9495ffd8b7baa33cc05b5d954601b49214dd84519b15842f0894c4a78e3de70"),
+    ("TPC-C-20000", "7011cff3567e616b573c83d93e0a931cfa01fcaf547cc12ae657daace2186d83"),
+    ("TPC-H-20000", "ee87e22545df70ef9f6726c5bc4fe475781ff959d2c4bff0eab691e082390ce3"),
+    ("steady-10ms", "a0ec6a8a845b47fe9d7dce278b3b5599dc611bf969862b96f8e2c5a1c26b96a0"),
+    ("bursty-idle", "e5ddc4e9ffdee7e557c152e5a896853452c9d7de60fc91d9eca2479003e753d5"),
+    ("sustained-6ms", "ec48afde879b5a44f4ad5de20d860fccc6db894a0b62fe40242b006a0cfb61ba"),
+    ("sparse-5s", "96c6fe53d43a3c79b285a02f647759fc06951956bc947b9138a68d3727732463"),
+    ("burst-after-idle", "196fdce3bf21c56fb6c4254aada65131324d26c3407674e3c3e050ca796d72f3"),
+    ("simultaneous-bursts", "b5ac82f2aab3c928740561ea7b5f2805012989c91d1bc0fe8889e1937e8ef2c0"),
+];
+
+/// The same digest over every [`MaidResult`](array::maid::MaidResult)
+/// field, for 300 requests of [`power::archival`] at
+/// `(seed, disks)`, taken from MAID's own replay loop.
+const MAID_DIGESTS: [(u64, usize, &str); 9] = [
+    (1, 1, "d2949a0b18fae83b7b3a3f179acef3e6319c7d124b416e020f35185df804ebf2"),
+    (1, 4, "4f47d7d39b7ee06926488568e5cd29e15d9a73b6ec6b7e5744fb564ebd99d9d8"),
+    (1, 8, "7eac44edf82c406038ab0aeb6080dba298b26a36bdb04bdd374fb40b685c009e"),
+    (2, 1, "b3a64899e3b11f4e9aeed704308203b2901d018eb5fcca7fa97020d295afd18b"),
+    (2, 4, "ca06bfb9479315c0321deb456e85c891cad0dcb4f4d955e6d86cd6eccce1ee8a"),
+    (2, 8, "138bbb6df0f8f35f37aa5fddb5e4a1a89c877303d72471ba69ded1e254ace038"),
+    (3, 1, "4d316776bfca4a3b5773e4f888c941081c03d48c81deb0a92fa7219ddedbb752"),
+    (3, 4, "38ae5843a11c6e04c88e4c0c1e6008aa6584b43e16e7439341ac3c41c4be8fba"),
+    (3, 8, "0e5d679dedf4e7070aee8e688b867c1c16ede5c7a3e1fdc608d4c88853688362"),
+];
+
+/// The DRPM pin inputs: the four paper workloads at 2,000 and 20,000
+/// requests, the DRPM tests' generators (`burst-after-idle` upshifts),
+/// and simultaneous arrivals at an idle drive's decision instant.
+fn drpm_pin_inputs() -> Vec<(String, Vec<IoRequest>)> {
+    let mut out = Vec::new();
+    for n in [2_000usize, 20_000] {
+        for kind in workload::WorkloadKind::ALL {
+            let scale = experiments::Scale::quick().with_requests(n);
+            let t = experiments::configs::trace_for(kind, scale);
+            out.push((format!("{}-{n}", kind.name()), t.requests().to_vec()));
+        }
+    }
+    out.push(("steady-10ms".into(), power::drpm_requests(500, 10.0, 1)));
+    out.push(("bursty-idle".into(), power::drpm_requests(100, 3_000.0, 2)));
+    out.push(("sustained-6ms".into(), power::drpm_requests(1_000, 6.0, 3)));
+    out.push(("sparse-5s".into(), power::drpm_requests(50, 5_000.0, 4)));
+    out.push(("burst-after-idle".into(), power::burst_after_idle()));
+    out.push(("simultaneous-bursts".into(), power::simultaneous_bursts()));
+    out
+}
+
+/// Response statistics as text: count, moments and percentiles as f64
+/// bits, and the digest of the streaming state.
+fn stats_text(s: &simkit::ResponseStats) -> String {
+    let mut out = format!("count {}\n", s.count());
+    for v in [s.mean(), s.min(), s.max(), s.stddev()] {
+        out.push_str(&format!("{:016x}\n", v.to_bits()));
+    }
+    for p in [50.0, 90.0, 99.0, 100.0] {
+        out.push_str(&format!("p{p} {:016x}\n", s.percentile(p).to_bits()));
+    }
+    out.push_str(&explorer::sha256::hex(&s.to_bytes()));
+    out.push('\n');
+    out
+}
+
+#[test]
+fn oracle_drpm_maid_reproduce_pinned_digests() {
+    let params = presets::barracuda_es_750gb();
+    for ((label, reqs), (want_label, want)) in drpm_pin_inputs().into_iter().zip(DRPM_DIGESTS) {
+        assert_eq!(label, want_label);
+        let r = power::run_drpm(&params, reqs);
+        let text = format!(
+            "completed {}\nenergy {:016x}\nduration {}\nlow {:016x}\nupshifts {}\n{}",
+            r.completed,
+            r.energy_j.to_bits(),
+            r.duration.as_nanos(),
+            r.low_speed_fraction.to_bits(),
+            r.upshifts,
+            stats_text(&r.response_time_ms)
+        );
+        assert_eq!(explorer::sha256::hex(text.as_bytes()), want, "DRPM {label}");
+    }
+    for (seed, disks, want) in MAID_DIGESTS {
+        let reqs = power::archival(disks as u64, 300, seed);
+        let r = power::run_maid(array::maid::MaidConfig::typical(), disks, reqs);
+        let text = format!(
+            "completed {}\nenergy {:016x}\nduration {}\nstandby {:016x}\nspin_ups {}\n{}",
+            r.completed,
+            r.energy_j.to_bits(),
+            r.duration.as_nanos(),
+            r.standby_fraction.to_bits(),
+            r.spin_ups,
+            stats_text(&r.response_time_ms)
+        );
+        assert_eq!(
+            explorer::sha256::hex(text.as_bytes()),
+            want,
+            "MAID seed {seed}, {disks} disks"
+        );
     }
 }

@@ -335,91 +335,152 @@ fn spc_lines_roundtrip() {
 #[test]
 fn overlapped_drive_conserves_requests() {
     check_with(heavy(), "overlapped_drive_conserves_requests", |t| {
-        use intradisk::{CompletedIo, DriveMetrics, OverlapMode};
-        struct Ledger(Vec<CompletedIo>);
-        impl experiments::RunObserver for Ledger {
-            fn on_complete(&mut self, done: &CompletedIo, _metrics: &DriveMetrics) {
-                self.0.push(*done);
+        use array::maid::{MaidArray, MaidConfig};
+        use array::LogicalCompletion;
+        use experiments::{run, ArrayDevice, Device, DriveDevice, Hooks, RunObserver};
+        use intradisk::drpm::{DrpmConfig, DrpmDrive};
+        use intradisk::{CompletedIo, OverlapMode};
+
+        /// `(id, arrival, completed)` of one finished request; a
+        /// per-request latency breakdown must sum to the response time
+        /// exactly, in integer nanoseconds.
+        trait Finished {
+            fn entry(&self) -> (u64, SimTime, SimTime);
+        }
+        impl Finished for CompletedIo {
+            fn entry(&self) -> (u64, SimTime, SimTime) {
+                let b = &self.breakdown;
+                let parts = [b.queue, b.overhead, b.seek, b.rotational, b.transfer];
+                let sum: u64 = parts.iter().map(|p| p.as_nanos()).sum();
+                let response = self.completed.as_nanos() - self.request.arrival.as_nanos();
+                assert_eq!(response, sum, "request {} breakdown", self.request.id);
+                (self.request.id, self.request.arrival, self.completed)
             }
         }
+        impl Finished for LogicalCompletion {
+            fn entry(&self) -> (u64, SimTime, SimTime) {
+                (self.id, self.arrival, self.completed)
+            }
+        }
+        #[derive(Default)]
+        struct Ledger(Vec<(u64, SimTime, SimTime)>);
+        impl<D: Device> RunObserver<D> for Ledger
+        where
+            D::Done: Finished,
+        {
+            fn on_complete(&mut self, done: &D::Done, _device: &D) {
+                self.0.push(done.entry());
+            }
+        }
+
         let seed = t.draw(&gen::u64_in(0..=999));
         let n = t.draw(&gen::usize_in(1..=79));
         let actuators = t.draw(&gen::u32_in(1..=4));
+        let disks = t.draw(&gen::usize_in(3..=5));
         let params = presets::barracuda_es_750gb();
         // Random reads and writes over a small LBA pool, so reads hit
-        // the cache and writes invalidate it.
+        // the cache and writes invalidate it; an occasional 40 s lull
+        // lets DRPM downshift and MAID members spin down.
         let mut rng = Rng64::new(seed);
         let pool: Vec<u64> = (0..8).map(|_| rng.below(1_000_000_000)).collect();
         let mut at = SimTime::ZERO;
         let reqs: Vec<IoRequest> = (0..n as u64)
             .map(|i| {
                 at += simkit::SimDuration::from_millis(rng.f64() * 8.0);
+                if rng.chance(0.05) {
+                    at += simkit::SimDuration::from_secs(40.0);
+                }
                 let lba = pool[rng.below(pool.len() as u64) as usize];
                 let kind = if rng.chance(0.3) { IoKind::Write } else { IoKind::Read };
                 IoRequest::new(i, at, lba, 8 * (1 + rng.below(4) as u32), kind)
             })
             .collect();
         let trace = workload::Trace::new("overlap-prop", reqs, 1_000_000_000);
+        let audit = |device: &str, ledger: &Ledger, completed: u64| {
+            assert_eq!(completed as usize, n, "{device}: completed != arrivals");
+            let mut ids: Vec<u64> = ledger.0.iter().map(|e| e.0).collect();
+            ids.sort_unstable();
+            assert_eq!(
+                ids,
+                (0..n as u64).collect::<Vec<_>>(),
+                "{device}: not exactly once"
+            );
+            for &(id, arrival, done) in &ledger.0 {
+                assert!(
+                    done >= arrival,
+                    "{device}: request {id} finished before it arrived"
+                );
+            }
+        };
+
         for mode in [
             OverlapMode::SingleArmMotion,
             OverlapMode::MultiMotion,
             OverlapMode::MultiChannel,
         ] {
+            let mut ledger = Ledger::default();
             let config = DriveConfig::sa(actuators).with_overlap(mode);
-            let mut ledger = Ledger(Vec::new());
-            let r = experiments::run_drive_observed(
-                &params,
-                config,
-                &trace,
-                intradisk::failure::FailureSchedule::new(),
-                &mut telemetry::NullRecorder,
-                &mut ledger,
-            )
-            .expect("replay succeeds");
-            assert_eq!(r.metrics.completed as usize, n, "{mode:?}");
-            let mut ids: Vec<u64> = ledger.0.iter().map(|d| d.request.id).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..n as u64).collect::<Vec<_>>(), "{mode:?}: not exactly once");
-            for d in &ledger.0 {
-                let b = &d.breakdown;
-                let parts = [b.queue, b.overhead, b.seek, b.rotational, b.transfer];
-                let sum: u64 = parts.iter().map(|p| p.as_nanos()).sum();
-                let response = d.completed.as_nanos() - d.request.arrival.as_nanos();
-                assert_eq!(response, sum, "{mode:?}: request {} breakdown", d.request.id);
-            }
+            let drive = DriveDevice::new(&params, config);
+            let r =
+                run(drive, &trace, Hooks::none().observer(&mut ledger)).expect("replay succeeds");
+            audit(&format!("{mode:?}"), &ledger, r.metrics.completed);
         }
+
+        let mut ledger = Ledger::default();
+        let member = DriveConfig::sa(actuators);
+        let array = ArrayDevice::new(&params, member, disks, Layout::raid5_default());
+        let r = run(array, &trace, Hooks::none().observer(&mut ledger)).expect("replay succeeds");
+        audit("RAID-5 array", &ledger, r.completed);
+
+        let mut ledger = Ledger::default();
+        let drpm = DrpmDrive::new(&params, DrpmConfig::typical()).expect("valid config");
+        let r = run(drpm, &trace, Hooks::none().observer(&mut ledger)).expect("replay succeeds");
+        audit("DRPM", &ledger, r.completed);
+
+        let mut ledger = Ledger::default();
+        let maid_member = presets::array_drive_10k_19gb();
+        let maid = MaidArray::new(&maid_member, MaidConfig::typical(), disks).expect("disks > 0");
+        let r = run(maid, &trace, Hooks::none().observer(&mut ledger)).expect("replay succeeds");
+        audit("MAID", &ledger, r.completed);
     });
 }
 
 #[test]
 fn maid_energy_bounded_by_always_on_and_standby_floor() {
-    check_with(heavy(), "maid_energy_bounded_by_always_on_and_standby_floor", |t| {
-        use array::maid::{replay as maid_replay, MaidConfig};
-        let seed = t.draw(&gen::u64_in(0..=499));
-        let disks = t.draw(&gen::usize_in(1..=5));
-        let params = presets::array_drive_10k_19gb();
-        let per_disk = diskmodel::Geometry::new(&params).total_sectors();
-        let mut rng = Rng64::new(seed);
-        let mut at = SimTime::ZERO;
-        let reqs: Vec<IoRequest> = (0..60u64)
-            .map(|i| {
-                at += simkit::SimDuration::from_millis(rng.f64() * 5_000.0);
-                IoRequest::new(i, at, rng.below(per_disk * disks as u64), 8, IoKind::Read)
-            })
-            .collect();
-        let cfg = MaidConfig::typical();
-        let r = maid_replay(&params, cfg, disks, &reqs);
-        assert_eq!(r.completed, 60);
-        // Average power must sit between the all-standby floor and an
-        // always-spinning array's seek ceiling.
-        let pm = diskmodel::PowerModel::new(&params);
-        let ceiling = pm.seek_w(1) * disks as f64 + 1e-6;
-        let floor = cfg.standby_w * disks as f64 * 0.5; // generous slack
-        let avg = r.average_power_w();
-        assert!(avg <= ceiling, "avg {avg} > ceiling {ceiling}");
-        assert!(avg >= floor, "avg {avg} < floor {floor}");
-        assert!((0.0..=1.0 + 1e-9).contains(&r.standby_fraction));
-    });
+    check_with(
+        heavy(),
+        "maid_energy_bounded_by_always_on_and_standby_floor",
+        |t| {
+            use array::maid::{MaidArray, MaidConfig};
+            let seed = t.draw(&gen::u64_in(0..=499));
+            let disks = t.draw(&gen::usize_in(1..=5));
+            let params = presets::array_drive_10k_19gb();
+            let per_disk = diskmodel::Geometry::new(&params).total_sectors();
+            let mut rng = Rng64::new(seed);
+            let mut at = SimTime::ZERO;
+            let reqs: Vec<IoRequest> = (0..60u64)
+                .map(|i| {
+                    at += simkit::SimDuration::from_millis(rng.f64() * 5_000.0);
+                    IoRequest::new(i, at, rng.below(per_disk * disks as u64), 8, IoKind::Read)
+                })
+                .collect();
+            let cfg = MaidConfig::typical();
+            let trace = workload::Trace::new("maid-prop", reqs, per_disk * disks as u64);
+            let maid = MaidArray::new(&params, cfg, disks).expect("disks > 0");
+            let r = experiments::run(maid, &trace, experiments::Hooks::none())
+                .expect("replay succeeds");
+            assert_eq!(r.completed, 60);
+            // Average power must sit between the all-standby floor and an
+            // always-spinning array's seek ceiling.
+            let pm = diskmodel::PowerModel::new(&params);
+            let ceiling = pm.seek_w(1) * disks as f64 + 1e-6;
+            let floor = cfg.standby_w * disks as f64 * 0.5; // generous slack
+            let avg = r.average_power_w();
+            assert!(avg <= ceiling, "avg {avg} > ceiling {ceiling}");
+            assert!(avg >= floor, "avg {avg} < floor {floor}");
+            assert!((0.0..=1.0 + 1e-9).contains(&r.standby_fraction));
+        },
+    );
 }
 
 #[test]

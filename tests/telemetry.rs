@@ -97,8 +97,12 @@ fn schema_valid_on_parallel_drive_run() {
     let t = bench_trace(2_000, 17);
     let params = presets::barracuda_es_750gb();
     let mut rec = RingRecorder::new();
-    experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("replay succeeds");
+    experiments::run(
+        experiments::DriveDevice::new(&params, DriveConfig::sa(4)),
+        &t,
+        experiments::Hooks::none().recorder(&mut rec),
+    )
+    .expect("replay succeeds");
     let samples = rec.sorted_samples();
     assert_eq!(rec.dropped(), 0, "ring overflowed; grow the capacity");
     schema::validate(&samples, 4).expect("well-formed event stream");
@@ -111,17 +115,24 @@ fn schema_valid_on_overlapped_and_array_runs() {
 
     let mut rec = RingRecorder::new();
     let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
-    experiments::run_drive_traced(&params, config, &t, &mut rec).expect("replay succeeds");
+    experiments::run(
+        experiments::DriveDevice::new(&params, config),
+        &t,
+        experiments::Hooks::none().recorder(&mut rec),
+    )
+    .expect("replay succeeds");
     schema::validate(&rec.sorted_samples(), 4).expect("overlap stream well-formed");
 
     let mut rec = RingRecorder::new();
-    experiments::run_array_traced(
-        &params,
-        DriveConfig::sa(2),
-        4,
-        array::Layout::raid5_default(),
+    experiments::run(
+        experiments::ArrayDevice::new(
+            &params,
+            DriveConfig::sa(2),
+            4,
+            array::Layout::raid5_default(),
+        ),
         &t,
-        &mut rec,
+        experiments::Hooks::none().recorder(&mut rec),
     )
     .expect("array replay succeeds");
     let samples = rec.sorted_samples();
@@ -142,8 +153,12 @@ fn exports_are_byte_identical_across_runs() {
         let t = bench_trace(1_000, 29);
         let params = presets::barracuda_es_750gb();
         let mut rec = RingRecorder::new();
-        experiments::run_drive_traced(&params, DriveConfig::sa(2), &t, &mut rec)
-            .expect("replay succeeds");
+        experiments::run(
+            experiments::DriveDevice::new(&params, DriveConfig::sa(2)),
+            &t,
+            experiments::Hooks::none().recorder(&mut rec),
+        )
+        .expect("replay succeeds");
         let samples = rec.sorted_samples();
         (chrome_trace_json(&samples), timeline_csv(&samples))
     };
@@ -162,8 +177,12 @@ fn recording_does_not_perturb_the_simulation() {
     let params = presets::barracuda_es_750gb();
     let plain = experiments::run_drive(&params, DriveConfig::sa(4), &t).expect("plain replay");
     let mut rec = RingRecorder::new();
-    let traced = experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("traced replay");
+    let traced = experiments::run(
+        experiments::DriveDevice::new(&params, DriveConfig::sa(4)),
+        &t,
+        experiments::Hooks::none().recorder(&mut rec),
+    )
+    .expect("traced replay");
     assert_eq!(
         format!("{:?}", plain.metrics),
         format!("{:?}", traced.metrics),
@@ -178,8 +197,12 @@ fn analysis_reconstructs_request_accounting() {
     let t = bench_trace(2_000, 37);
     let params = presets::barracuda_es_750gb();
     let mut rec = RingRecorder::new();
-    let r = experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("replay succeeds");
+    let r = experiments::run(
+        experiments::DriveDevice::new(&params, DriveConfig::sa(4)),
+        &t,
+        experiments::Hooks::none().recorder(&mut rec),
+    )
+    .expect("replay succeeds");
     let analysis = TraceAnalysis::from_samples(&rec.sorted_samples());
     let scope = analysis.scope(0).expect("scope 0 present");
     assert_eq!(scope.submitted, 2_000);
