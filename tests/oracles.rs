@@ -13,8 +13,9 @@
 //! * scaling RPM moves latency (and spindle power) monotonically.
 //!
 //! Golden oracles pin what must not move: the `repro` report and export
-//! hashes, SHA-256 digests of every overlap mode's completion records,
-//! and SHA-256 digests of every DRPM and MAID result field.
+//! hashes, SHA-256 digests of every overlap mode's completion records
+//! and of the dispatch corners the goldens do not reach, and SHA-256
+//! digests of every DRPM and MAID result field.
 
 use diskmodel::{presets, DiskParams, PowerModel, RotationModel};
 use experiments::{ArrayRunResult, DriveRunResult};
@@ -927,4 +928,124 @@ fn oracle_drpm_maid_reproduce_pinned_digests() {
             "MAID seed {seed}, {disks} disks"
         );
     }
+}
+
+/// SHA-256 over every completion record and the final per-mode times
+/// (the [`RecordLog`] text) of one drive run.
+fn drive_record_digest(device: experiments::DriveDevice, trace: &Trace) -> String {
+    let mut log = RecordLog::default();
+    let r = experiments::run(device, trace, experiments::Hooks::none().observer(&mut log))
+        .expect("replay succeeds");
+    for m in DriveMode::ALL {
+        log.0.push_str(&format!("{m:?} {}\n", r.metrics.modes.time_in(m.key()).as_nanos()));
+    }
+    explorer::sha256::hex(log.0.as_bytes())
+}
+
+/// Reads and writes aimed at layout boundaries: the last sectors of a
+/// track, a cylinder and a zone (so transfers switch heads, seek one
+/// cylinder or change zone mid-request), multi-track transfers, and
+/// requests that start near or beyond the end of the disk (clamped or
+/// wrapped).
+fn boundary_requests(params: &DiskParams, n: u64, seed: u64) -> Vec<IoRequest> {
+    let g = diskmodel::Geometry::new(params);
+    let total = g.total_sectors();
+    let zones = g.zones();
+    let mut rng = simkit::Rng64::new(seed);
+    let mut at = SimTime::ZERO;
+    (0..n)
+        .map(|i| {
+            at += SimDuration::from_millis(rng.f64() * 6.0);
+            let z = zones[rng.below(zones.len() as u64) as usize];
+            let spt = z.sectors_per_track as u64;
+            let per_cyl = spt * g.surfaces() as u64;
+            let cyl = rng.below(z.cylinders as u64);
+            let (lba, sectors) = match rng.below(6) {
+                0 => (z.first_lba + cyl * per_cyl + spt - 3, 8),
+                1 => (z.first_lba + (cyl + 1) * per_cyl - 5, 16),
+                2 => ((z.first_lba + z.sectors(g.surfaces())).min(total) - 4, 32),
+                3 => (z.first_lba + cyl * per_cyl + rng.below(spt), 3 * spt as u32),
+                4 => (total - 1 - rng.below(16), 8 * (1 + rng.below(16)) as u32),
+                _ => (total + rng.below(1_000_000), 8),
+            };
+            let kind = if rng.chance(0.3) { IoKind::Write } else { IoKind::Read };
+            IoRequest::new(i, at, lba, sectors, kind)
+        })
+        .collect()
+}
+
+/// [`drive_record_digest`] per dispatch corner the goldens do not
+/// reach, taken before the device model located each request once:
+/// SSTF and FCFS, DASH heads under `MultiMotion` (the channel re-plan),
+/// non-default placements, latency scaling, small windows, a mid-run
+/// actuator failure, and requests on layout boundaries.
+const DISPATCH_CORNER_DIGESTS: [(&str, &str); 16] = [
+    ("sstf-sa4", "99f23992e4dd574d312221f0ccd06051d739c69cb55ef17f48d1ffb24414e37b"),
+    ("fcfs-sa4", "81dfb665cf140cf3ee4dc06fd8a200b64a2cfd06b48ca4a549c20b281acd403e"),
+    ("dash-a2h2-multimotion", "1befe5d9a29349f91912cb3548e3913c91a737462a887b83a3bf93223423c567"),
+    ("dash-a2h4-multimotion", "c7588f469a57ee15d8bc97643d3a9f39095edef7b0d68987ecafaae28559e4a1"),
+    ("dash-a4h2-multimotion", "bdf461f6cb56354b1fa5b80d11852f8342a1806724bf2678a605efbf4dd0bc4f"),
+    ("colocated-sa4", "017b68807ae1af0af3c9fd10b5ceb0d80b353e6356af7486ef8fbc56bb660011"),
+    ("custom-sa3", "c7a26db471930326c746ecc6660ccab9fd504433707668e85240a22bd5a7ee6a"),
+    ("seek-half-sa2", "bf36717487058df50edebc0839a37b45201bd4641ebace753ed195b3ae083183"),
+    ("rot-zero-sa2", "85ea412ebb9cc9d7915f52bc1a976d85aa718c56ee4d08c0b0a190bbd828adc4"),
+    ("window1-sa4", "81dfb665cf140cf3ee4dc06fd8a200b64a2cfd06b48ca4a549c20b281acd403e"),
+    ("window8-sa4", "ce498824cc5dbf963be18132e2c5ef2105798b02f9b767bc02fd5431f01cc522"),
+    ("failure-sa4", "b8107c4c06f9dc927193206c57a0f859ea8c7127f1390f06be457417fec40ebb"),
+    ("boundary-sa1", "1e2907c283a2dc5e3b3c74b43d3c0354255abcf55abc355c64ab2a15b671f522"),
+    ("boundary-sa4", "ffe18bcf85fd7aa7a0b32052956a232993fddb30ae3ffdb96498356f63cd71eb"),
+    ("boundary-sstf-sa2", "a92a10fac271a2dbf779a0ab311adb3b4b515d17b8d4e43a7f37639424206d7f"),
+    ("boundary-multichannel-sa4", "10359faa8e53fa1f69816d6b88c9b3cbb40a9484678f8eaa4e57540dc493a77d"),
+];
+
+#[test]
+fn oracle_dispatch_corners_reproduce_pinned_digests() {
+    use intradisk::failure::FailureSchedule;
+    use intradisk::LatencyScaling;
+    let params = presets::barracuda_es_750gb();
+    let cap = params.capacity_sectors();
+    let mixed = Trace::new("corner-pin", mixed_requests(1_500, 2.0, 4), cap);
+    let boundary = Trace::new("boundary-pin", boundary_requests(&params, 1_500, 5), cap);
+    let dev = |config: DriveConfig| experiments::DriveDevice::new(&params, config);
+    let multi = |a, h| DriveConfig::dash(a, h).with_overlap(OverlapMode::MultiMotion);
+    let mut failures = FailureSchedule::new();
+    failures.push(SimTime::from_millis(1_000.0), 1);
+    failures.push(SimTime::from_millis(2_000.0), 3);
+    let runs = [
+        ("sstf-sa4", dev(DriveConfig::sa(4).with_policy(QueuePolicy::Sstf)), &mixed),
+        ("fcfs-sa4", dev(DriveConfig::sa(4).with_policy(QueuePolicy::Fcfs)), &mixed),
+        ("dash-a2h2-multimotion", dev(multi(2, 2)), &mixed),
+        ("dash-a2h4-multimotion", dev(multi(2, 4)), &mixed),
+        ("dash-a4h2-multimotion", dev(multi(4, 2)), &mixed),
+        ("colocated-sa4", dev(DriveConfig::sa(4).with_placement(ArmPlacement::Colocated)), &mixed),
+        (
+            "custom-sa3",
+            dev(DriveConfig::sa(3).with_placement(ArmPlacement::Custom(vec![0.1, 0.45, 0.8]))),
+            &mixed,
+        ),
+        ("seek-half-sa2", dev(DriveConfig::sa(2).with_scaling(LatencyScaling::seek_only(0.5))), &mixed),
+        (
+            "rot-zero-sa2",
+            dev(DriveConfig::sa(2).with_scaling(LatencyScaling::rotational_only(0.0))),
+            &mixed,
+        ),
+        ("window1-sa4", dev(DriveConfig::sa(4).with_window(1)), &mixed),
+        ("window8-sa4", dev(DriveConfig::sa(4).with_window(8)), &mixed),
+        ("failure-sa4", dev(DriveConfig::sa(4)).with_failures(failures), &mixed),
+        ("boundary-sa1", dev(DriveConfig::sa(1)), &boundary),
+        ("boundary-sa4", dev(DriveConfig::sa(4)), &boundary),
+        ("boundary-sstf-sa2", dev(DriveConfig::sa(2).with_policy(QueuePolicy::Sstf)), &boundary),
+        (
+            "boundary-multichannel-sa4",
+            dev(DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel)),
+            &boundary,
+        ),
+    ];
+    let got: Vec<(&str, String)> = runs
+        .into_iter()
+        .map(|(name, device, trace)| (name, drive_record_digest(device, trace)))
+        .collect();
+    let want: Vec<(&str, String)> =
+        DISPATCH_CORNER_DIGESTS.iter().map(|&(n, d)| (n, d.to_string())).collect();
+    assert_eq!(got, want);
 }
