@@ -215,7 +215,7 @@ impl Device for MaidArray {
         let plan = m.mech.plan_set_with_heads(
             &m.arm,
             1,
-            local_lba,
+            m.mech.geometry().target(local_lba),
             req.sectors,
             PlanTimes::at(start + self.overhead),
             LatencyScaling::none(),

@@ -30,10 +30,17 @@ fn bench_geometry() {
         black_box(geom.locate(lba))
     });
     let mut lba = 0u64;
-    bench_micro("geometry_segments_64k", WARMUP, SAMPLES, MICRO_ITERS, || {
-        lba = (lba + 999_983) % (total - 128);
-        black_box(geom.segments(lba, 128))
-    });
+    bench_micro(
+        "geometry_segments_64k",
+        WARMUP,
+        SAMPLES,
+        MICRO_ITERS,
+        || {
+            lba = (lba + 999_983) % (total - 128);
+            let walk = geom.segments(geom.target(lba), 128);
+            black_box(walk.map(|s| s.sectors).sum::<u32>())
+        },
+    );
 }
 
 fn bench_rotation() {

@@ -61,6 +61,44 @@ pub struct TrackSegment {
     pub start: PhysLoc,
 }
 
+/// A located logical block: where it lies and the rotational angle at
+/// which it begins.
+///
+/// A media access needs its block located once: the scheduler scores
+/// every (candidate, arm) pair from the cylinder and angle, and the
+/// transfer walk starts from the location. The angle includes track
+/// skew, which [`Geometry::new`] derives from the rotation period, so a
+/// target is valid only for the geometry (and spindle speed) that made
+/// it.
+///
+/// Only [`Geometry::target`] makes one, so the three parts always agree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Target {
+    lba: u64,
+    loc: PhysLoc,
+    angle: f64,
+}
+
+impl Target {
+    /// The logical block.
+    #[inline]
+    pub fn lba(&self) -> u64 {
+        self.lba
+    }
+
+    /// Its physical location.
+    #[inline]
+    pub fn loc(&self) -> PhysLoc {
+        self.loc
+    }
+
+    /// Its rotational angle ([`Geometry::sector_angle`]).
+    #[inline]
+    pub fn angle(&self) -> f64 {
+        self.angle
+    }
+}
+
 /// The complete layout of one drive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Geometry {
@@ -176,6 +214,8 @@ impl Geometry {
     ///
     /// # Panics
     /// Panics if `lba >= total_sectors()`.
+    // simlint: hot — once per media request and per extra track of its
+    // transfer.
     pub fn locate(&self, lba: u64) -> PhysLoc {
         let zi = self
             .zones
@@ -225,35 +265,79 @@ impl Geometry {
         (loc.sector as f64 / loc.sectors_per_track as f64 + skew).fract()
     }
 
-    /// Decomposes a request of `count` sectors starting at `lba` into
-    /// per-track segments.
+    /// Locates `lba` and computes its angle: the one locate a media
+    /// access needs.
+    ///
+    /// # Panics
+    /// Panics if `lba >= total_sectors()`.
+    pub fn target(&self, lba: u64) -> Target {
+        let loc = self.locate(lba);
+        Target {
+            lba,
+            loc,
+            angle: self.sector_angle(loc),
+        }
+    }
+
+    /// Decomposes a request of `count` sectors starting at `from` into
+    /// per-track segments, without allocating: the first segment starts
+    /// at the target's location, and each later one is located as it is
+    /// reached (one [`locate`](Self::locate) per extra track).
     ///
     /// The request is clamped at the end of the disk (the tail is
     /// silently dropped), mirroring how trace replay tools handle
     /// requests that run off the end of a smaller replayed device.
-    pub fn segments(&self, lba: u64, count: u32) -> Vec<TrackSegment> {
-        let mut out = Vec::new();
-        let mut cur = lba.min(self.total_sectors);
-        let end = lba
-            .saturating_add(count as u64)
-            .min(self.total_sectors);
-        while cur < end {
-            let loc = self.locate(cur);
-            let left_in_track = (loc.sectors_per_track - loc.sector) as u64;
-            let take = left_in_track.min(end - cur) as u32;
-            out.push(TrackSegment {
-                first_lba: cur,
-                sectors: take,
-                start: loc,
-            });
-            cur += take as u64;
+    // simlint: hot — builds the transfer walk's iterator; allocates
+    // nothing.
+    pub fn segments(&self, from: Target, count: u32) -> Segments<'_> {
+        Segments {
+            geometry: self,
+            known: Some(from.loc),
+            cur: from.lba,
+            end: from
+                .lba
+                .saturating_add(count as u64)
+                .min(self.total_sectors),
         }
-        out
     }
 
     /// Absolute cylinder distance between two locations.
     pub fn cylinder_distance(&self, a: PhysLoc, b: PhysLoc) -> u32 {
         a.cylinder.abs_diff(b.cylinder)
+    }
+}
+
+/// The per-track segments of one request ([`Geometry::segments`]).
+#[derive(Debug, Clone)]
+pub struct Segments<'g> {
+    geometry: &'g Geometry,
+    /// The location of `cur`, when already known.
+    known: Option<PhysLoc>,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Segments<'_> {
+    type Item = TrackSegment;
+
+    // simlint: hot — the transfer walk of every media access.
+    fn next(&mut self) -> Option<TrackSegment> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let loc = match self.known.take() {
+            Some(loc) => loc,
+            None => self.geometry.locate(self.cur),
+        };
+        let left_in_track = (loc.sectors_per_track - loc.sector) as u64;
+        let take = left_in_track.min(self.end - self.cur) as u32;
+        let seg = TrackSegment {
+            first_lba: self.cur,
+            sectors: take,
+            start: loc,
+        };
+        self.cur += take as u64;
+        Some(seg)
     }
 }
 
@@ -346,10 +430,37 @@ mod tests {
         }
     }
 
+    fn segments(g: &Geometry, lba: u64, count: u32) -> Vec<TrackSegment> {
+        g.segments(g.target(lba), count).collect()
+    }
+
+    #[test]
+    fn target_is_location_and_angle() {
+        let g = small_geom();
+        for lba in (0..g.total_sectors()).step_by(4999) {
+            let t = g.target(lba);
+            assert_eq!((t.lba(), t.loc()), (lba, g.locate(lba)));
+            assert_eq!(t.angle().to_bits(), g.sector_angle(t.loc()).to_bits());
+        }
+    }
+
+    #[test]
+    fn target_angle_depends_on_spindle_speed() {
+        // Track skew comes from the rotation period, so one block has
+        // one location but a different angle at another speed: a target
+        // is valid only for the geometry that made it.
+        let p = crate::presets::barracuda_es_750gb();
+        let (full, low) = (Geometry::new(&p), Geometry::new(&p.with_rpm(4_200)));
+        let lba = full.total_sectors() / 2;
+        let (a, b) = (full.target(lba), low.target(lba));
+        assert_eq!(a.loc(), b.loc());
+        assert_ne!(a.angle().to_bits(), b.angle().to_bits());
+    }
+
     #[test]
     fn segments_single_track() {
         let g = small_geom();
-        let segs = g.segments(0, 4);
+        let segs = segments(&g, 0, 4);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].sectors, 4);
         assert_eq!(segs[0].first_lba, 0);
@@ -359,7 +470,7 @@ mod tests {
     fn segments_cross_track_boundary() {
         let g = small_geom();
         let spt = g.zones()[0].sectors_per_track;
-        let segs = g.segments(spt as u64 - 2, 5);
+        let segs = segments(&g, spt as u64 - 2, 5);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].sectors, 2);
         assert_eq!(segs[1].sectors, 3);
@@ -372,10 +483,30 @@ mod tests {
     fn segments_clamped_at_disk_end() {
         let g = small_geom();
         let end = g.total_sectors();
-        let segs = g.segments(end - 2, 100);
+        let segs = segments(&g, end - 2, 100);
         let total: u32 = segs.iter().map(|s| s.sectors).sum();
         assert_eq!(total, 2);
-        assert!(g.segments(end, 8).is_empty());
+        assert_eq!(segments(&g, end - 1, 8).len(), 1);
+        assert!(segments(&g, end - 1, 0).is_empty());
+    }
+
+    #[test]
+    fn segments_locate_each_track_they_reach() {
+        // A walk over several cylinders and a zone boundary yields the
+        // same segments as locating every segment start.
+        let g = small_geom();
+        let z1 = g.zones()[1];
+        let spt = g.zones()[0].sectors_per_track;
+        let lba = z1.first_lba - 3 * spt as u64 - 7;
+        let segs = segments(&g, lba, 6 * spt);
+        assert!(segs.len() >= 5, "{} segments", segs.len());
+        assert_ne!(segs[0].start.zone, segs[segs.len() - 1].start.zone);
+        let mut cur = lba;
+        for s in &segs {
+            assert_eq!((s.first_lba, s.start), (cur, g.locate(cur)));
+            cur += s.sectors as u64;
+        }
+        assert_eq!(cur, lba + 6 * spt as u64);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod seek;
 pub mod thermal;
 
 pub use error::{DiskModelError, DriveError};
-pub use geometry::{Geometry, PhysLoc, TrackSegment, Zone};
+pub use geometry::{Geometry, PhysLoc, Segments, Target, TrackSegment, Zone};
 pub use params::{DiskParams, DiskParamsBuilder};
 pub use power::PowerModel;
 pub use rotation::RotationModel;

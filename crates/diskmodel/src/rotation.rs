@@ -54,10 +54,21 @@ impl RotationModel {
     ///
     /// Both angles are fractions of a revolution in `[0, 1)`; values
     /// outside are wrapped.
+    ///
+    /// The wait is rounded to whole nanoseconds and lies in `[0,
+    /// period)`: the rounded gap is at most one period (the gap is below
+    /// one revolution), so one compare-and-subtract maps a full period
+    /// to zero exactly as `% period` would.
+    // simlint: hot — evaluated for every (candidate, arm) pair of every
+    // SPTF dispatch scan.
     pub fn wait_until_under(&self, sector_angle: f64, head_azimuth: f64, now: SimTime) -> SimDuration {
-        let sector_now = (sector_angle + self.platter_offset(now)).rem_euclid(1.0);
-        let gap = (head_azimuth - sector_now).rem_euclid(1.0);
-        SimDuration::from_nanos((gap * self.period_ns as f64).round() as u64 % self.period_ns.max(1))
+        let sector_now = wrap_angle(sector_angle + self.platter_offset(now));
+        let gap = wrap_angle(head_azimuth - sector_now);
+        let mut ns = (gap * self.period_ns as f64).round() as u64;
+        if ns >= self.period_ns {
+            ns -= self.period_ns;
+        }
+        SimDuration::from_nanos(ns)
     }
 
     /// Time to transfer `sectors` contiguous sectors from a track with
@@ -79,6 +90,34 @@ impl RotationModel {
     pub fn assembly_azimuth(index: u32, count: u32) -> f64 {
         assert!(count > 0 && index < count, "bad assembly index {index}/{count}");
         index as f64 / count as f64
+    }
+}
+
+/// Wraps an angle into `[0, 1)`, bit for bit as `x.rem_euclid(1.0)`.
+///
+/// The device model only ever wraps sums and differences of two angles
+/// already in `[0, 1)`, so `x` lies in `(-1, 2)` and one add or subtract
+/// suffices:
+///
+/// * on `[0, 1)`, `rem_euclid` returns `x` itself;
+/// * on `[1, 2)`, it returns `x - 1` computed exactly (`fmod` is exact),
+///   and the subtraction is exact too: by Sterbenz's lemma `x - y` is
+///   exact whenever `y/2 <= x <= 2y`;
+/// * on `(-1, 0)`, it computes `x % 1 = x` and then adds 1 — the very
+///   add done here.
+///
+/// Anything else (including `-1`, NaN and infinities) falls back to
+/// `rem_euclid`.
+#[inline]
+pub fn wrap_angle(x: f64) -> f64 {
+    if (0.0..1.0).contains(&x) {
+        x
+    } else if (1.0..2.0).contains(&x) {
+        x - 1.0
+    } else if -1.0 < x && x < 0.0 {
+        x + 1.0
+    } else {
+        x.rem_euclid(1.0)
     }
 }
 
@@ -178,6 +217,59 @@ mod tests {
         let w2 = m.wait_until_under(0.6, 0.1, t + w);
         let ms = w2.as_millis();
         assert!(ms < 1e-3 || (m.period().as_millis() - ms) < 1e-3, "w2 {w2}");
+    }
+
+    #[test]
+    fn wrap_angle_matches_rem_euclid_bit_for_bit() {
+        let mut rng = simkit::Rng64::new(3);
+        let edges = [
+            -1.0,
+            -1.0 + f64::EPSILON,
+            -f64::MIN_POSITIVE,
+            -1e-300,
+            -0.0,
+            0.0,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            2.0,
+            -3.25,
+            7.5,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let random = (0..100_000).map(|_| rng.f64() * 3.0 - 1.0);
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(
+                wrap_angle(x).to_bits(),
+                x.rem_euclid(1.0).to_bits(),
+                "x = {x:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn wait_matches_modulo_reference() {
+        // The compare-and-subtract reproduces `% period` on every input,
+        // including gaps that round up to a full period.
+        let m = model_7200();
+        let p = m.period().as_nanos();
+        let mut rng = simkit::Rng64::new(5);
+        for _ in 0..100_000 {
+            let (sector, head) = (rng.f64(), rng.f64());
+            let now = SimTime::from_nanos(rng.below(1 << 40));
+            let sector_now = (sector + m.platter_offset(now)).rem_euclid(1.0);
+            let gap = (head - sector_now).rem_euclid(1.0);
+            let want = (gap * p as f64).round() as u64 % p;
+            assert_eq!(m.wait_until_under(sector, head, now).as_nanos(), want);
+        }
+        let just_below = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(
+            m.wait_until_under(0.0, just_below, SimTime::ZERO),
+            SimDuration::ZERO
+        );
     }
 
     #[test]

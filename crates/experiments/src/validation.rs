@@ -126,8 +126,10 @@ pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
     let mut total = 0.0;
     let n = 20_000;
     for i in 0..n {
-        let lba = rng.below(mech.geometry().total_sectors());
-        let cyl = mech.geometry().locate(lba).cylinder;
+        let target = mech
+            .geometry()
+            .target(rng.below(mech.geometry().total_sectors()));
+        let cyl = target.loc().cylinder;
         let arms: Vec<_> = mech
             .default_arms(k)
             .into_iter()
@@ -137,7 +139,7 @@ pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
         let plan = mech.plan_set_with_heads(
             &ArmSet::from_arms(&arms),
             1,
-            lba,
+            target,
             1,
             PlanTimes::at(now),
             LatencyScaling::none(),

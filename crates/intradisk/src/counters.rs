@@ -2,8 +2,8 @@
 //!
 //! Counts the work the scheduler and cost model do per simulated run —
 //! dispatch scans, per-arm visits, SPTF candidate comparisons,
-//! positioning/plan evaluations, cache probe outcomes, and the pending
-//! queue's high-water mark. All counts are pure functions of the
+//! locates, positioning/plan evaluations, cache probe outcomes, and the
+//! pending queue's high-water mark. All counts are pure functions of the
 //! workload and configuration (never of host timing), so the exported
 //! totals are byte-identical across runs, hosts, and `--jobs`.
 //!
@@ -16,6 +16,9 @@ use simkit::counters::{Counter, DropCounter};
 pub static CACHE_HITS: Counter = Counter::new("intradisk.cache.hits");
 /// Read probes that missed and went to the media.
 pub static CACHE_MISSES: Counter = Counter::new("intradisk.cache.misses");
+/// Block locations computed: one per submitted request, plus one per
+/// extra track its transfer walk reaches.
+pub static LOCATES: Counter = Counter::new("intradisk.cost.locates");
 /// Full media-access plans evaluated (`plan_set_with_heads`).
 pub static PLAN_EVALS: Counter = Counter::new("intradisk.cost.plan_evals");
 /// Seek+rotation positioning estimates computed for SPTF candidates.
@@ -32,10 +35,11 @@ pub static SPTF_COMPARES: Counter = Counter::new("intradisk.dispatch.sptf_compar
 pub static QUEUE_PEAK_DEPTH: Counter = Counter::new_max("intradisk.queue.peak_depth");
 
 /// Every counter this crate owns, in export (name) order.
-pub fn all() -> [&'static Counter; 9] {
+pub fn all() -> [&'static Counter; 10] {
     [
         &CACHE_HITS,
         &CACHE_MISSES,
+        &LOCATES,
         &PLAN_EVALS,
         &POSITIONING_EVALS,
         &ARM_VISITS,
@@ -66,6 +70,8 @@ pub struct DriveProfCounts {
     pub arm_visits: DropCounter,
     /// One per SPTF best-so-far comparison.
     pub sptf_compares: DropCounter,
+    /// One per block location computed.
+    pub locates: DropCounter,
     /// One per `positioning_at` estimate.
     pub positioning_evals: DropCounter,
     /// One per full access plan.
@@ -84,6 +90,7 @@ impl DriveProfCounts {
             candidates: DropCounter::new(&CANDIDATES),
             arm_visits: DropCounter::new(&ARM_VISITS),
             sptf_compares: DropCounter::new(&SPTF_COMPARES),
+            locates: DropCounter::new(&LOCATES),
             positioning_evals: DropCounter::new(&POSITIONING_EVALS),
             plan_evals: DropCounter::new(&PLAN_EVALS),
             cache_hits: DropCounter::new(&CACHE_HITS),

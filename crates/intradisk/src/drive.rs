@@ -20,7 +20,7 @@
 //!   extensions provide little benefit over the HC-SD-SA(n) design").
 //!   Several requests are in flight, one per busy arm.
 
-use diskmodel::{DiskParams, DriveError, PowerModel};
+use diskmodel::{DiskParams, DriveError, PowerModel, Target};
 use simkit::{SimDuration, SimTime, StatsMode};
 use telemetry::{NullRecorder, PowerMode, Recorder, TraceEvent};
 
@@ -333,6 +333,9 @@ impl DiskDrive {
         if req.lba >= self.capacity {
             req.lba %= self.capacity;
         }
+        // The one locate of this request: the queue and the plan reuse it.
+        self.prof.locates.bump();
+        let target = self.mech.geometry().target(req.lba);
         if R::ENABLED {
             rec.record(
                 now,
@@ -347,7 +350,7 @@ impl DiskDrive {
         // The queue only holds work while the in-flight set is full, so
         // a request that finds room starts at once.
         if self.in_flight.len() >= self.max_in_flight() {
-            self.queue.push(req);
+            self.queue.push(req, target);
             if R::ENABLED {
                 rec.record(
                     now,
@@ -374,7 +377,7 @@ impl DiskDrive {
             // Close the idle span that ends now.
             close_idle_span(&mut self.metrics.modes, self.idle_since, now);
         }
-        Ok(Some(self.start_service(req, now, 0, rec)?))
+        Ok(Some(self.start_service(req, target, now, 0, rec)?))
     }
 
     /// Completes one in-service request due exactly at `now` (a
@@ -480,28 +483,27 @@ impl DiskDrive {
         // Borrow pieces separately for the cost closure.
         let mech = &self.mech;
         let arms = &self.arms;
-        let capacity = self.capacity;
         let heads = self.config.heads_per_arm;
         let prof = &self.prof;
         // Positioning starts after the controller overhead; estimating
         // from `now` would systematically pick sectors that have just
         // passed the head by the time the seek is issued.
         let start = now + self.overhead;
-        let cost = |r: &IoRequest| -> SimDuration {
-            let _cost_prof = telemetry::prof::scope(telemetry::prof::Phase::CostModel);
+        // Per-candidate cost is not scoped (a scope per candidate made
+        // the profiler measure itself): it is this scan's self time over
+        // `intradisk.dispatch.candidates`.
+        let cost = |t: &Target| -> SimDuration {
             prof.candidates.bump();
-            let lba = if r.lba >= capacity { r.lba % capacity } else { r.lba };
             match policy {
                 QueuePolicy::Fcfs => SimDuration::ZERO,
                 QueuePolicy::Sstf => {
-                    let loc = mech.geometry().locate(lba);
                     let mut dist: Option<u32> = None;
                     for i in 0..arms.len() {
                         if !arms.is_free(i, now) {
                             continue;
                         }
                         prof.arm_visits.bump();
-                        let d = arms.cylinder(i).abs_diff(loc.cylinder);
+                        let d = arms.cylinder(i).abs_diff(t.loc().cylinder);
                         if dist.is_none_or(|best| d < best) {
                             dist = Some(d);
                         }
@@ -520,7 +522,7 @@ impl DiskDrive {
                             arms.cylinder(i),
                             arms.azimuth(i),
                             heads,
-                            lba,
+                            t,
                             start,
                             scaling,
                         );
@@ -533,14 +535,15 @@ impl DiskDrive {
                 }
             }
         };
-        let Some(next) = self.queue.pop_next(policy, cost) else {
+        let Some((next, target)) = self.queue.pop_next(policy, cost) else {
             return Ok(None);
         };
         let depth = self.queue.len() as u32;
-        Ok(Some(self.start_service(next, now, depth, rec)?))
+        Ok(Some(self.start_service(next, target, now, depth, rec)?))
     }
 
-    /// Starts servicing `req` at `now`; returns the completion time.
+    /// Starts servicing `req`, located at `target`, at `now`; returns the
+    /// completion time.
     ///
     /// `depth` is the queue depth left behind by this dispatch (0 when
     /// service starts straight from `submit`). The whole access is
@@ -550,6 +553,7 @@ impl DiskDrive {
     fn start_service<R: Recorder>(
         &mut self,
         req: IoRequest,
+        target: Target,
         now: SimTime,
         depth: u32,
         rec: &mut R,
@@ -610,7 +614,7 @@ impl DiskDrive {
             self.mech.plan_set_with_heads(
                 &self.arms,
                 self.config.heads_per_arm,
-                req.lba,
+                target,
                 req.sectors,
                 PlanTimes {
                     now,
@@ -621,6 +625,10 @@ impl DiskDrive {
             )?
         };
         let finish = now + overhead + plan.total();
+        // The transfer walk locates each track after the target's.
+        self.prof
+            .locates
+            .add(u64::from(plan.segments.saturating_sub(1)));
 
         if R::ENABLED {
             // Capture the departure cylinder before the arm state is
@@ -821,6 +829,31 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn each_request_is_located_once_plus_once_per_extra_track() {
+        // Queued and straight-started requests alike are located once,
+        // and the transfer walk locates each further track it reaches.
+        let params = presets::barracuda_es_750gb();
+        let g = diskmodel::Geometry::new(&params);
+        let mut reqs = scattered(300, g.total_sectors());
+        for (i, r) in reqs.iter_mut().enumerate() {
+            r.sectors = [8, 600, 3_000][i % 3];
+        }
+        let mut d = DiskDrive::new(&params, DriveConfig::sa(2));
+        let done = run_to_completion(&mut d, reqs.clone());
+        assert!(d.queue_peak() > 1, "some requests were queued");
+        let extra: u64 = done
+            .iter()
+            .filter(|c| !c.cache_hit)
+            .map(|c| {
+                let walk = g.segments(g.target(c.request.lba), c.request.sectors);
+                walk.count() as u64 - 1
+            })
+            .sum();
+        assert!(extra > 0, "some transfers cross tracks");
+        assert_eq!(d.prof.locates.pending(), reqs.len() as u64 + extra);
     }
 
     #[test]

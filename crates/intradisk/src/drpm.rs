@@ -20,7 +20,7 @@
 //! The `experiments::extensions` module compares this baseline against
 //! a fixed low-RPM intra-disk parallel drive on the paper's workloads.
 
-use diskmodel::{DiskParams, DriveError, PowerModel};
+use diskmodel::{DiskParams, DriveError, PowerModel, Target};
 use simkit::{ResponseStats, SimDuration, SimTime};
 use telemetry::Recorder;
 
@@ -172,22 +172,27 @@ impl DrpmDrive {
             self.next = Some(now + self.config.transition);
             return Ok(());
         }
-        let speed = if self.at_low { &self.low } else { &self.full };
+        let at_low = self.at_low;
+        let speed = if at_low { &self.low } else { &self.full };
         let start = now + self.overhead;
-        let (mech, capacity) = (&speed.mech, self.full.mech.geometry().total_sectors());
+        let mech = &speed.mech;
+        // Queued targets were located at full speed. Track skew, and so
+        // every sector angle, depends on the spindle speed, so at low
+        // speed each is located again with the low-speed geometry.
+        let aim = |t: &Target| {
+            if at_low {
+                mech.geometry().target(t.lba())
+            } else {
+                *t
+            }
+        };
         let (cylinder, azimuth) = (self.arm.cylinder(0), self.arm.azimuth(0));
-        let cost = |r: &IoRequest| {
-            let (s, rot) = mech.positioning_at(
-                cylinder,
-                azimuth,
-                1,
-                r.lba % capacity,
-                start,
-                LatencyScaling::none(),
-            );
+        let cost = |t: &Target| {
+            let (s, rot) =
+                mech.positioning_at(cylinder, azimuth, 1, &aim(t), start, LatencyScaling::none());
             s + rot
         };
-        let Some(req) = self.queue.pop_next(QueuePolicy::Sptf, cost) else {
+        let Some((req, target)) = self.queue.pop_next(QueuePolicy::Sptf, cost) else {
             self.idle_since = now;
             self.next = None;
             return Ok(());
@@ -195,7 +200,7 @@ impl DrpmDrive {
         let plan = mech.plan_set_with_heads(
             &self.arm,
             1,
-            req.lba % capacity,
+            aim(&target),
             req.sectors,
             PlanTimes::at(start),
             LatencyScaling::none(),
@@ -251,7 +256,9 @@ impl Device for DrpmDrive {
             }
             self.next = Some(req.arrival);
         }
-        self.queue.push(req);
+        let full = self.full.mech.geometry();
+        self.queue
+            .push(req, full.target(req.lba % full.total_sectors()));
         Ok(())
     }
 

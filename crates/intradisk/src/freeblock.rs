@@ -91,8 +91,9 @@ impl FreeblockScheduler {
         let mut arm_at = cylinder;
         let mut serviced = 0;
         while let Some(bg) = self.background.front().copied() {
-            let lba = bg.lba % self.mech.geometry().total_sectors();
-            let loc = self.mech.geometry().locate(lba);
+            let geometry = self.mech.geometry();
+            let target = geometry.target(bg.lba % geometry.total_sectors());
+            let loc = target.loc();
             let out = self
                 .mech
                 .seek_profile()
@@ -104,7 +105,7 @@ impl FreeblockScheduler {
             // Conservative rotational charge: half a revolution to line
             // up with the background sector.
             let rot = self.mech.rotation().period() / 2;
-            let transfer = self.mech.transfer_time(lba, bg.sectors);
+            let transfer = self.mech.transfer(target, bg.sectors).time;
             let need = out + rot + transfer + back;
             if need > remaining {
                 break;
@@ -134,11 +135,12 @@ pub fn dedicated_arm_throughput(params: &DiskParams, background: &[IoRequest]) -
     let mut cylinder = 0u32;
     let mut busy = SimDuration::ZERO;
     for bg in background {
-        let lba = bg.lba % mech.geometry().total_sectors();
-        let loc = mech.geometry().locate(lba);
+        let geometry = mech.geometry();
+        let target = geometry.target(bg.lba % geometry.total_sectors());
+        let loc = target.loc();
         let seek = mech.seek_profile().seek_time(cylinder.abs_diff(loc.cylinder));
         let rot = mech.rotation().period() / 2;
-        let transfer = mech.transfer_time(lba, bg.sectors);
+        let transfer = mech.transfer(target, bg.sectors).time;
         busy += seek + rot + transfer;
         cylinder = loc.cylinder;
     }

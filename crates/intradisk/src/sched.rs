@@ -10,9 +10,13 @@
 //! default [`DEFAULT_WINDOW`]); real controllers bound their scheduling
 //! scan the same way, and it keeps the simulator's worst case linear
 //! under overload.
+//!
+//! Each queued request carries its [`Target`], located once when it was
+//! queued, so a scan scores candidates without locating them again.
 
 use std::collections::VecDeque;
 
+use diskmodel::Target;
 use simkit::SimDuration;
 
 use crate::request::IoRequest;
@@ -33,10 +37,11 @@ pub enum QueuePolicy {
     Sptf,
 }
 
-/// The pending-request queue of a drive.
+/// The pending-request queue of a drive: each request beside its
+/// located target.
 #[derive(Debug, Clone, Default)]
 pub struct PendingQueue {
-    queue: VecDeque<IoRequest>,
+    queue: VecDeque<(IoRequest, Target)>,
     window: usize,
     peak_len: usize,
 }
@@ -60,9 +65,9 @@ impl PendingQueue {
         }
     }
 
-    /// Appends an arriving request.
-    pub fn push(&mut self, req: IoRequest) {
-        self.queue.push_back(req);
+    /// Appends an arriving request and where it lies.
+    pub fn push(&mut self, req: IoRequest, target: Target) {
+        self.queue.push_back((req, target));
         self.peak_len = self.peak_len.max(self.queue.len());
     }
 
@@ -84,8 +89,9 @@ impl PendingQueue {
     }
 
     /// Removes and returns the next request to service under `policy`,
-    /// using `cost` to estimate the positioning cost of a candidate
-    /// (ignored for FCFS). Returns `None` if the queue is empty.
+    /// with its target, using `cost` to estimate the positioning cost of
+    /// a candidate's target (ignored for FCFS). Returns `None` if the
+    /// queue is empty.
     ///
     /// The positioning-aware policies scan at most the scheduling
     /// window, preserving arrival order beyond it (which also bounds
@@ -93,8 +99,8 @@ impl PendingQueue {
     pub fn pop_next(
         &mut self,
         policy: QueuePolicy,
-        mut cost: impl FnMut(&IoRequest) -> SimDuration,
-    ) -> Option<IoRequest> {
+        mut cost: impl FnMut(&Target) -> SimDuration,
+    ) -> Option<(IoRequest, Target)> {
         if self.queue.is_empty() {
             return None;
         }
@@ -105,7 +111,7 @@ impl PendingQueue {
                 // The queue (and so the window) is non-empty here; fall
                 // back to head-of-line rather than panic.
                 (0..scan)
-                    .min_by_key(|&i| cost(&self.queue[i]))
+                    .min_by_key(|&i| cost(&self.queue[i].1))
                     .unwrap_or(0)
             }
         };
@@ -114,7 +120,7 @@ impl PendingQueue {
 
     /// Iterates over queued requests in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &IoRequest> {
-        self.queue.iter()
+        self.queue.iter().map(|(req, _)| req)
     }
 }
 
@@ -122,68 +128,96 @@ impl PendingQueue {
 mod tests {
     use super::*;
     use crate::request::IoKind;
+    use diskmodel::{presets, Geometry};
     use simkit::SimTime;
 
-    fn req(id: u64, lba: u64) -> IoRequest {
-        IoRequest::new(id, SimTime::ZERO, lba, 8, IoKind::Read)
+    /// A queue of requests (`id`, `lba`) with their targets.
+    struct Q {
+        geometry: Geometry,
+        q: PendingQueue,
+    }
+
+    impl Q {
+        fn new(window: usize) -> Self {
+            let geometry = Geometry::new(&presets::barracuda_es_750gb());
+            Q {
+                geometry,
+                q: PendingQueue::with_window(window),
+            }
+        }
+
+        fn push(&mut self, id: u64, lba: u64) {
+            let req = IoRequest::new(id, SimTime::ZERO, lba, 8, IoKind::Read);
+            self.q.push(req, self.geometry.target(lba));
+        }
+
+        fn pop(
+            &mut self,
+            policy: QueuePolicy,
+            cost: impl FnMut(&Target) -> SimDuration,
+        ) -> Option<IoRequest> {
+            self.q.pop_next(policy, cost).map(|(req, target)| {
+                assert_eq!(target.lba(), req.lba, "request and target stay paired");
+                req
+            })
+        }
+    }
+
+    /// Scores a candidate by its LBA.
+    fn by_lba(t: &Target) -> SimDuration {
+        SimDuration::from_millis(t.lba() as f64)
     }
 
     #[test]
     fn fcfs_ignores_cost() {
-        let mut q = PendingQueue::new();
-        q.push(req(0, 500));
-        q.push(req(1, 0));
-        let got = q
-            .pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO)
-            .unwrap();
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(0, 500);
+        q.push(1, 0);
+        let got = q.pop(QueuePolicy::Fcfs, |_| SimDuration::ZERO).unwrap();
         assert_eq!(got.id, 0);
     }
 
     #[test]
     fn sptf_picks_cheapest() {
-        let mut q = PendingQueue::new();
-        q.push(req(0, 500));
-        q.push(req(1, 10));
-        q.push(req(2, 100));
-        let got = q
-            .pop_next(QueuePolicy::Sptf, |r| SimDuration::from_millis(r.lba as f64))
-            .unwrap();
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(0, 500);
+        q.push(1, 10);
+        q.push(2, 100);
+        let got = q.pop(QueuePolicy::Sptf, by_lba).unwrap();
         assert_eq!(got.id, 1);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.q.len(), 2);
     }
 
     #[test]
     fn sptf_tie_breaks_by_arrival_order() {
-        let mut q = PendingQueue::new();
-        q.push(req(7, 1));
-        q.push(req(8, 1));
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(7, 1);
+        q.push(8, 1);
         let got = q
-            .pop_next(QueuePolicy::Sptf, |_| SimDuration::from_millis(1.0))
+            .pop(QueuePolicy::Sptf, |_| SimDuration::from_millis(1.0))
             .unwrap();
         assert_eq!(got.id, 7);
     }
 
     #[test]
     fn window_bounds_scan() {
-        let mut q = PendingQueue::with_window(2);
-        q.push(req(0, 100));
-        q.push(req(1, 50));
-        q.push(req(2, 1)); // cheapest, but outside the window
-        let got = q
-            .pop_next(QueuePolicy::Sptf, |r| SimDuration::from_millis(r.lba as f64))
-            .unwrap();
+        let mut q = Q::new(2);
+        q.push(0, 100);
+        q.push(1, 50);
+        q.push(2, 1); // cheapest, but outside the window
+        let got = q.pop(QueuePolicy::Sptf, by_lba).unwrap();
         assert_eq!(got.id, 1);
     }
 
     #[test]
     fn peak_len_tracks_high_water_mark() {
-        let mut q = PendingQueue::new();
-        q.push(req(0, 1));
-        q.push(req(1, 2));
-        let _ = q.pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO);
-        let _ = q.pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO);
-        q.push(req(2, 3));
-        assert_eq!(q.peak_len(), 2);
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(0, 1);
+        q.push(1, 2);
+        let _ = q.pop(QueuePolicy::Fcfs, |_| SimDuration::ZERO);
+        let _ = q.pop(QueuePolicy::Fcfs, |_| SimDuration::ZERO);
+        q.push(2, 3);
+        assert_eq!(q.q.peak_len(), 2);
     }
 
     #[test]
@@ -197,14 +231,12 @@ mod tests {
 
     #[test]
     fn drains_everything_exactly_once() {
-        let mut q = PendingQueue::new();
+        let mut q = Q::new(DEFAULT_WINDOW);
         for i in 0..100 {
-            q.push(req(i, (i * 37) % 64));
+            q.push(i, (i * 37) % 64);
         }
         let mut seen = std::collections::BTreeSet::new();
-        while let Some(r) =
-            q.pop_next(QueuePolicy::Sptf, |r| SimDuration::from_millis(r.lba as f64))
-        {
+        while let Some(r) = q.pop(QueuePolicy::Sptf, by_lba) {
             assert!(seen.insert(r.id), "duplicate {}", r.id);
         }
         assert_eq!(seen.len(), 100);

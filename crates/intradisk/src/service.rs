@@ -8,7 +8,8 @@
 //! differs both in its seek and its rotational component, and the
 //! dispatcher picks the arm minimizing the sum (§7.2).
 
-use diskmodel::{DriveError, Geometry, RotationModel, SeekProfile};
+use diskmodel::rotation::wrap_angle;
+use diskmodel::{DriveError, Geometry, RotationModel, SeekProfile, Target};
 use simkit::{SimDuration, SimTime};
 
 use crate::request::{CompletedIo, IoRequest, ServiceBreakdown};
@@ -260,6 +261,19 @@ pub struct ServicePlan {
     pub transfer: SimDuration,
     /// Cylinder the assembly ends up parked over.
     pub end_cylinder: u32,
+    /// Tracks the transfer reads or writes (one segment per track).
+    pub segments: u32,
+}
+
+/// The outcome of one transfer walk ([`Mechanics::transfer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    /// Transfer time including head/track switches.
+    pub time: SimDuration,
+    /// Cylinder of the last segment (the target's when there is none).
+    pub end_cylinder: u32,
+    /// Track segments walked.
+    pub segments: u32,
 }
 
 impl ServicePlan {
@@ -325,9 +339,9 @@ impl Mechanics {
         &self.seek
     }
 
-    /// Positioning cost (seek + rotational wait) of serving the block
-    /// at `lba` with an assembly parked over `cylinder` at `azimuth`,
-    /// starting at `start`.
+    /// Positioning cost (seek + rotational wait) of serving the located
+    /// block `target` with an assembly parked over `cylinder` at
+    /// `azimuth`, starting at `start`.
     ///
     /// An arm may carry `heads` heads per surface — the taxonomy's H
     /// dimension (§4 Level 4, Figure 1(b): heads "equidistant from the
@@ -342,21 +356,20 @@ impl Mechanics {
     ///
     /// # Panics
     /// Panics if `heads == 0`.
+    // simlint: hot — once per (candidate, arm) pair of every SPTF scan.
     pub fn positioning_at(
         &self,
         cylinder: u32,
         azimuth: f64,
         heads: u32,
-        lba: u64,
+        target: &Target,
         start: SimTime,
         scaling: LatencyScaling,
     ) -> (SimDuration, SimDuration) {
         assert!(heads > 0, "need at least one head per arm");
-        let loc = self.geometry.locate(lba);
-        let dist = cylinder.abs_diff(loc.cylinder);
+        let dist = cylinder.abs_diff(target.loc().cylinder);
         let seek = self.seek.seek_time(dist).scale(scaling.seek);
-        let angle = self.geometry.sector_angle(loc);
-        let rot = self.rotational_wait(angle, azimuth, heads, start + seek, scaling);
+        let rot = self.rotational_wait(target.angle(), azimuth, heads, start + seek, scaling);
         (seek, rot)
     }
 
@@ -372,8 +385,7 @@ impl Mechanics {
     ) -> SimDuration {
         (0..heads)
             .map(|h| {
-                let head_azimuth =
-                    (azimuth + h as f64 * HEAD_ANGULAR_SEPARATION).rem_euclid(1.0);
+                let head_azimuth = wrap_angle(azimuth + h as f64 * HEAD_ANGULAR_SEPARATION);
                 self.rotation.wait_until_under(angle, head_azimuth, at)
             })
             .min()
@@ -381,50 +393,54 @@ impl Mechanics {
             .scale(scaling.rotational)
     }
 
-    /// Transfer time for `sectors` starting at `lba`: per-track rotation
-    /// time, a head switch between tracks on the same cylinder, and a
-    /// single-cylinder seek (which subsumes settle) when crossing
-    /// cylinders. Track skew is assumed to match the switch times, so no
-    /// extra rotational realignment is charged.
-    pub fn transfer_time(&self, lba: u64, sectors: u32) -> SimDuration {
-        let segs = self.geometry.segments(lba, sectors);
-        let mut total = SimDuration::ZERO;
-        let mut prev_cyl: Option<u32> = None;
-        for s in &segs {
-            if let Some(pc) = prev_cyl {
-                if s.start.cylinder != pc {
-                    total += self.seek.seek_time(s.start.cylinder.abs_diff(pc).min(
-                        self.seek.max_distance(),
-                    ));
+    /// Walks the transfer of `sectors` starting at `from` in one pass:
+    /// per-track rotation time, a head switch between tracks on the same
+    /// cylinder, and a single-cylinder seek (which subsumes settle) when
+    /// crossing cylinders. Track skew is assumed to match the switch
+    /// times, so no extra rotational realignment is charged.
+    // simlint: hot — once per media access.
+    pub fn transfer(&self, from: Target, sectors: u32) -> Transfer {
+        let mut walk = Transfer {
+            time: SimDuration::ZERO,
+            end_cylinder: from.loc().cylinder,
+            segments: 0,
+        };
+        for s in self.geometry.segments(from, sectors) {
+            if walk.segments > 0 {
+                walk.time += if s.start.cylinder != walk.end_cylinder {
+                    let dist = s.start.cylinder.abs_diff(walk.end_cylinder);
+                    self.seek.seek_time(dist.min(self.seek.max_distance()))
                 } else {
-                    total += self.head_switch;
-                }
+                    self.head_switch
+                };
             }
-            total += self
+            walk.time += self
                 .rotation
                 .transfer_time(s.sectors, s.start.sectors_per_track);
-            prev_cyl = Some(s.start.cylinder);
+            walk.end_cylinder = s.start.cylinder;
+            walk.segments += 1;
         }
-        total
+        walk
     }
 
-    /// Plans service of `(lba, sectors)`: picks the assembly, among
-    /// those free at `times.now`, with minimum positioning time from
-    /// `times.start`, scanning in index order with a strict `<` so ties
-    /// go to the first minimum. A head that reaches its track before
-    /// `times.channel_free_at` waits for the channel and then for its
-    /// sector; that wait is part of the plan's `rotational`.
+    /// Plans service of `sectors` starting at `target`: picks the
+    /// assembly, among those free at `times.now`, with minimum
+    /// positioning time from `times.start`, scanning in index order with
+    /// a strict `<` so ties go to the first minimum. A head that reaches
+    /// its track before `times.channel_free_at` waits for the channel and
+    /// then for its sector; that wait is part of the plan's `rotational`.
     ///
     /// # Errors
     /// Returns [`DriveError::NoLiveArm`] if no assembly is free.
     ///
     /// # Panics
     /// Panics if `heads == 0`.
+    // simlint: hot — once per media access.
     pub fn plan_set_with_heads(
         &self,
         arms: &ArmSet,
         heads: u32,
-        lba: u64,
+        target: Target,
         sectors: u32,
         times: PlanTimes,
         scaling: LatencyScaling,
@@ -438,16 +454,15 @@ impl Mechanics {
                 arms.cylinder(i),
                 arms.azimuth(i),
                 heads,
-                lba,
+                &target,
                 times.start,
                 scaling,
             );
             let ready = times.start + s;
             if times.channel_free_at > ready {
-                let angle = self.geometry.sector_angle(self.geometry.locate(lba));
                 r = (times.channel_free_at - ready)
                     + self.rotational_wait(
-                        angle,
+                        target.angle(),
                         arms.azimuth(i),
                         heads,
                         times.channel_free_at,
@@ -459,18 +474,14 @@ impl Mechanics {
             }
         }
         let (best_idx, seek, rot) = best.ok_or(DriveError::NoLiveArm)?;
-        let transfer = self.transfer_time(lba, sectors);
-        let segs = self.geometry.segments(lba, sectors);
-        let end_cylinder = segs
-            .last()
-            .map(|s| s.start.cylinder)
-            .unwrap_or_else(|| self.geometry.locate(lba.min(self.geometry.total_sectors() - 1)).cylinder);
+        let walk = self.transfer(target, sectors);
         Ok(ServicePlan {
             actuator: best_idx as u32,
             seek,
             rotational: rot,
-            transfer,
-            end_cylinder,
+            transfer: walk.time,
+            end_cylinder: walk.end_cylinder,
+            segments: walk.segments,
         })
     }
 
@@ -501,8 +512,21 @@ mod tests {
         Mechanics::new(&presets::barracuda_es_750gb())
     }
 
-    fn plan(m: &Mechanics, arms: &[ArmState], lba: u64, sectors: u32, at: SimTime) -> Result<ServicePlan, DriveError> {
-        m.plan_set_with_heads(&ArmSet::from_arms(arms), 1, lba, sectors, PlanTimes::at(at), LatencyScaling::none())
+    fn plan(
+        m: &Mechanics,
+        arms: &[ArmState],
+        lba: u64,
+        sectors: u32,
+        at: SimTime,
+    ) -> Result<ServicePlan, DriveError> {
+        m.plan_set_with_heads(
+            &ArmSet::from_arms(arms),
+            1,
+            m.geometry().target(lba),
+            sectors,
+            PlanTimes::at(at),
+            LatencyScaling::none(),
+        )
     }
 
     #[test]
@@ -513,8 +537,14 @@ mod tests {
             cylinder: m.geometry().locate(0).cylinder,
             failed: false,
         };
-        let (seek, _rot) =
-            m.positioning_at(arm.cylinder, arm.azimuth, 1, 0, SimTime::ZERO, LatencyScaling::none());
+        let (seek, _rot) = m.positioning_at(
+            arm.cylinder,
+            arm.azimuth,
+            1,
+            &m.geometry().target(0),
+            SimTime::ZERO,
+            LatencyScaling::none(),
+        );
         assert_eq!(seek, SimDuration::ZERO);
     }
 
@@ -526,9 +556,9 @@ mod tests {
             cylinder: 0,
             failed: false,
         };
-        let lba = m.geometry().total_sectors() / 2;
+        let target = m.geometry().target(m.geometry().total_sectors() / 2);
         let t = SimTime::from_millis(1.0);
-        let at = |scaling| m.positioning_at(arm.cylinder, arm.azimuth, 1, lba, t, scaling);
+        let at = |scaling| m.positioning_at(arm.cylinder, arm.azimuth, 1, &target, t, scaling);
         let (s1, _) = at(LatencyScaling::none());
         let (s2, _) = at(LatencyScaling::seek_only(0.5));
         assert_eq!(s2, s1.scale(0.5));
@@ -642,9 +672,8 @@ mod tests {
     #[test]
     fn transfer_time_monotone_in_size() {
         let m = mech();
-        let t8 = m.transfer_time(0, 8);
-        let t64 = m.transfer_time(0, 64);
-        let t4096 = m.transfer_time(0, 4096);
+        let at0 = |sectors| m.transfer(m.geometry().target(0), sectors).time;
+        let (t8, t64, t4096) = (at0(8), at0(64), at0(4096));
         assert!(t8 < t64 && t64 < t4096);
     }
 
@@ -652,26 +681,31 @@ mod tests {
     fn cross_track_transfer_charges_switch() {
         let m = mech();
         let spt = m.geometry().zones()[0].sectors_per_track;
-        let within = m.transfer_time(0, 8);
-        let crossing = m.transfer_time(spt as u64 - 4, 8);
-        assert!(crossing > within);
+        let g = m.geometry();
+        let within = m.transfer(g.target(0), 8);
+        let crossing = m.transfer(g.target(spt as u64 - 4), 8);
+        assert!(crossing.time > within.time);
+        assert_eq!((within.segments, crossing.segments), (1, 2));
     }
 
     #[test]
     fn plan_skips_busy_arm_until_it_frees() {
         let m = mech();
-        let target = m.geometry().total_sectors() - 1;
-        let target_cyl = m.geometry().locate(target).cylinder;
+        let target = m.geometry().target(m.geometry().total_sectors() - 1);
+        let target_cyl = target.loc().cylinder;
         let mut set = ArmSet::from_arms(&[
             ArmState { azimuth: 0.0, cylinder: 0, failed: false },
             ArmState { azimuth: 0.5, cylinder: target_cyl, failed: false },
         ]);
         let busy_until = SimTime::from_millis(3.0);
         set.occupy(1, busy_until);
-        let at = |now| PlanTimes::at(now);
-        let p = m.plan_set_with_heads(&set, 1, target, 8, at(SimTime::ZERO), LatencyScaling::none());
+        let plan_at = |now| {
+            let times = PlanTimes::at(now);
+            m.plan_set_with_heads(&set, 1, target, 8, times, LatencyScaling::none())
+        };
+        let p = plan_at(SimTime::ZERO);
         assert_eq!(p.unwrap().actuator, 0, "busy arm is not a candidate");
-        let p = m.plan_set_with_heads(&set, 1, target, 8, at(busy_until), LatencyScaling::none());
+        let p = plan_at(busy_until);
         assert_eq!(p.unwrap().actuator, 1, "free again at its busy-until time");
     }
 
@@ -679,20 +713,31 @@ mod tests {
     fn busy_channel_delays_transfer_and_counts_as_rotational() {
         let m = mech();
         let arms = ArmSet::from_arms(&m.default_arms(1));
-        let lba = m.geometry().total_sectors() / 3;
+        let target = m.geometry().target(m.geometry().total_sectors() / 3);
         let start = SimTime::from_millis(1.0);
-        let free = m
-            .plan_set_with_heads(&arms, 1, lba, 8, PlanTimes::at(start), LatencyScaling::none())
-            .unwrap();
+        let plan_for = |times| {
+            m.plan_set_with_heads(&arms, 1, target, 8, times, LatencyScaling::none())
+                .unwrap()
+        };
+        let free = plan_for(PlanTimes::at(start));
         let gate = start + free.positioning() + SimDuration::from_millis(2.0);
-        let times = PlanTimes { now: start, start, channel_free_at: gate };
-        let gated = m.plan_set_with_heads(&arms, 1, lba, 8, times, LatencyScaling::none()).unwrap();
+        let gated = plan_for(PlanTimes {
+            now: start,
+            start,
+            channel_free_at: gate,
+        });
         assert_eq!(gated.seek, free.seek);
-        assert!(start + gated.positioning() >= gate, "transfer starts before the channel frees");
+        assert!(
+            start + gated.positioning() >= gate,
+            "transfer starts before the channel frees"
+        );
         assert!(gated.rotational < gate - start + m.rotation().period());
         // A gate already passed when the head arrives changes nothing.
-        let early = PlanTimes { now: start, start, channel_free_at: start };
-        let p = m.plan_set_with_heads(&arms, 1, lba, 8, early, LatencyScaling::none()).unwrap();
+        let p = plan_for(PlanTimes {
+            now: start,
+            start,
+            channel_free_at: start,
+        });
         assert_eq!(p, free);
     }
 

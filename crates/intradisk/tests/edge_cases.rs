@@ -3,7 +3,7 @@
 //! that brush or cross the end of the disk, LRU residency bounds, and
 //! write-invalidation coherence.
 
-use diskmodel::presets;
+use diskmodel::{presets, Geometry, Target};
 use intradisk::cache::DEFAULT_SEGMENTS;
 use intradisk::sched::PendingQueue;
 use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, QueuePolicy, SegmentedCache};
@@ -114,19 +114,32 @@ fn cache_write_invalidation_is_coherent() {
 
 // -------------------------------------------------------------- scheduler
 
+/// A queue holding `reqs` in order, each beside its target.
+fn queued(reqs: &[IoRequest], window: usize) -> PendingQueue {
+    let g = Geometry::new(&presets::barracuda_es_750gb());
+    let mut q = PendingQueue::with_window(window);
+    for r in reqs {
+        q.push(*r, g.target(r.lba));
+    }
+    q
+}
+
+/// Scores a candidate by its LBA.
+fn by_lba(t: &Target) -> SimDuration {
+    SimDuration::from_millis(t.lba() as f64)
+}
+
 #[test]
 fn queue_conserves_requests_under_every_policy() {
     check("queue_conserves_requests_under_every_policy", |t| {
         let reqs = t.draw_silent(&arb_requests(48));
         let policy = t.draw(&arb_policy());
         let window = t.draw(&gen::usize_in(1..=80));
-        let mut q = PendingQueue::with_window(window);
-        for r in &reqs {
-            q.push(*r);
-        }
+        let mut q = queued(&reqs, window);
         assert_eq!(q.len(), reqs.len());
         let mut seen = std::collections::HashSet::new();
-        while let Some(r) = q.pop_next(policy, |r| SimDuration::from_millis(r.lba as f64)) {
+        while let Some((r, target)) = q.pop_next(policy, by_lba) {
+            assert_eq!(target.lba(), r.lba, "request and target stay paired");
             assert!(seen.insert(r.id), "request {} popped twice", r.id);
         }
         assert_eq!(seen.len(), reqs.len(), "requests lost in the queue");
@@ -143,12 +156,9 @@ fn queue_conserves_requests_under_every_policy() {
 fn queue_fcfs_preserves_arrival_order() {
     check("queue_fcfs_preserves_arrival_order", |t| {
         let reqs = t.draw_silent(&arb_requests(32));
-        let mut q = PendingQueue::new();
-        for r in &reqs {
-            q.push(*r);
-        }
+        let mut q = queued(&reqs, intradisk::sched::DEFAULT_WINDOW);
         let mut popped = Vec::new();
-        while let Some(r) = q.pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO) {
+        while let Some((r, _)) = q.pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO) {
             popped.push(r.id);
         }
         let expect: Vec<u64> = (0..reqs.len() as u64).collect();
@@ -163,13 +173,10 @@ fn queue_sptf_pops_cheapest_inside_window() {
         if reqs.is_empty() {
             return;
         }
-        let mut q = PendingQueue::with_window(reqs.len().max(1));
-        for r in &reqs {
-            q.push(*r);
-        }
+        let mut q = queued(&reqs, reqs.len().max(1));
         let cheapest = reqs.iter().map(|r| r.lba).min().expect("non-empty");
-        let first = q
-            .pop_next(QueuePolicy::Sptf, |r| SimDuration::from_millis(r.lba as f64))
+        let (first, _) = q
+            .pop_next(QueuePolicy::Sptf, by_lba)
             .expect("non-empty queue");
         assert_eq!(
             first.lba, cheapest,

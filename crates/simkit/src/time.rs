@@ -129,9 +129,19 @@ impl SimDuration {
     /// Scales the duration by a non-negative dimensionless factor,
     /// rounding to the nearest nanosecond.
     ///
+    /// Factor 1 returns the duration unchanged without the float round
+    /// trip (the device model scales every seek and rotational wait, and
+    /// real drives use factor 1). That is exact: every duration below
+    /// 2^53 ns (104 days) converts to `f64` and back unchanged.
+    ///
     /// # Panics
     /// Panics if `factor` is negative or not finite.
     pub fn scale(self, factor: f64) -> SimDuration {
+        // simlint: allow(no-float-eq) — an identity test, not a
+        // tolerance: only factor exactly 1 may skip the round trip.
+        if factor == 1.0 {
+            return self;
+        }
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
@@ -273,6 +283,12 @@ mod tests {
         assert_eq!(d.scale(0.5), SimDuration::from_millis(5.0));
         assert_eq!(d.scale(0.0), SimDuration::ZERO);
         assert_eq!(d.scale(1.0), d);
+        // Factor 1 agrees with the float round trip below 2^53 ns.
+        for ns in [0, 1, 8_333_333, (1u64 << 53) - 1] {
+            let d = SimDuration::from_nanos(ns);
+            let round_trip = SimDuration::from_nanos((ns as f64 * 1.0).round() as u64);
+            assert_eq!(d.scale(1.0), round_trip);
+        }
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub enum Phase {
     KernelPop,
     /// Scheduler dispatch scan over pending requests and arms.
     DispatchScan,
-    /// Mechanical cost-model evaluation.
+    /// Mechanical cost-model evaluation: one media-access plan. The
+    /// per-candidate SPTF scoring is not scoped; it is part of
+    /// [`Phase::DispatchScan`]'s self time.
     CostModel,
     /// Recording completed-request statistics.
     StatsRecord,

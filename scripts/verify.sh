@@ -27,7 +27,8 @@
 # throughput floor: the timing wheel must not be slower than the
 # heap), the self-profiler gates (the deterministic counter export must
 # be byte-identical across runs and --jobs values, a --profile smoke
-# run must attribute >= 95% of wall time to phases, and a 10^6-request
+# run must attribute >= 95% of wall time to phases, the same run must
+# locate at most 1.25 blocks per media plan, and a 10^6-request
 # `repro scale --heartbeat 1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
 # tests included.
@@ -181,6 +182,17 @@ coverage=$(jq '.results[0].coverage_pct' "$sweep_dir/prof1/BENCH_profile.json")
 echo "    phase coverage ${coverage}%"
 jq -n --argjson c "$coverage" \
   'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'
+
+echo "==> gate: locates per media plan <= 1.25 (intradisk.cost.locates / plan_evals)"
+# The device model locates each request once, when it is submitted, and
+# its transfer walk locates only the tracks after the first. This run
+# measures 19338 / 16357 = 1.18; locating once per SPTF (candidate, arm)
+# pair and twice per transfer walk, as the engine once did, reads 5.08.
+locates_per_plan=$(jq '.deterministic
+  | .["intradisk.cost.locates"] / .["intradisk.cost.plan_evals"]' "$sweep_dir/prof1/counters.json")
+echo "    locates per plan ${locates_per_plan}"
+jq -n --argjson r "$locates_per_plan" \
+  'if $r <= 1.25 then empty else error("more than 1.25 locates per media plan") end'
 
 echo "==> gate: scale --heartbeat emits live snapshots and a Prometheus textfile"
 target/release/repro scale --requests 1000000 --stats streaming --heartbeat 1 \

@@ -82,7 +82,7 @@ fn geometry_segments_conserve_sectors() {
             let lba = rng.below(g.total_sectors());
             let count = 1 + rng.below(2048) as u32;
             let clamped = count.min((g.total_sectors() - lba) as u32);
-            let segs = g.segments(lba, count);
+            let segs: Vec<_> = g.segments(g.target(lba), count).collect();
             let total: u64 = segs.iter().map(|s| s.sectors as u64).sum();
             assert_eq!(total, clamped as u64);
             // Segments are contiguous in LBA space.
