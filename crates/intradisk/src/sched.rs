@@ -90,8 +90,8 @@ impl PendingQueue {
 
     /// Removes and returns the next request to service under `policy`,
     /// with its target, using `cost` to estimate the positioning cost of
-    /// a candidate's target (ignored for FCFS). Returns `None` if the
-    /// queue is empty.
+    /// a candidate's target (not called for FCFS, nor when the scan
+    /// holds one candidate). Returns `None` if the queue is empty.
     ///
     /// The positioning-aware policies scan at most the scheduling
     /// window, preserving arrival order beyond it (which also bounds
@@ -104,16 +104,19 @@ impl PendingQueue {
         if self.queue.is_empty() {
             return None;
         }
-        let idx = match policy {
-            QueuePolicy::Fcfs => 0,
-            QueuePolicy::Sstf | QueuePolicy::Sptf => {
-                let scan = self.window.min(self.queue.len());
-                // The queue (and so the window) is non-empty here; fall
-                // back to head-of-line rather than panic.
-                (0..scan)
-                    .min_by_key(|&i| cost(&self.queue[i].1))
-                    .unwrap_or(0)
-            }
+        let scan = match policy {
+            QueuePolicy::Fcfs => 1,
+            QueuePolicy::Sstf | QueuePolicy::Sptf => self.window.min(self.queue.len()),
+        };
+        // A lone candidate is taken unscored: the choice cannot change.
+        // The queue (and so the window) is non-empty here; fall back to
+        // head-of-line rather than panic.
+        let idx = if scan == 1 {
+            0
+        } else {
+            (0..scan)
+                .min_by_key(|&i| cost(&self.queue[i].1))
+                .unwrap_or(0)
         };
         self.queue.remove(idx)
     }
@@ -207,6 +210,32 @@ mod tests {
         q.push(2, 1); // cheapest, but outside the window
         let got = q.pop(QueuePolicy::Sptf, by_lba).unwrap();
         assert_eq!(got.id, 1);
+    }
+
+    #[test]
+    fn lone_candidate_is_not_scored() {
+        let scored = std::cell::Cell::new(0);
+        let counting = |t: &Target| {
+            scored.set(scored.get() + 1);
+            by_lba(t)
+        };
+        // A queue of one.
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(0, 500);
+        assert_eq!(q.pop(QueuePolicy::Sptf, counting).unwrap().id, 0);
+        // A window of one over a longer queue takes the head.
+        let mut q = Q::new(1);
+        q.push(1, 500);
+        q.push(2, 10);
+        assert_eq!(q.pop(QueuePolicy::Sstf, counting).unwrap().id, 1);
+        assert_eq!(q.pop(QueuePolicy::Sptf, counting).unwrap().id, 2);
+        assert_eq!(scored.get(), 0);
+        // Two candidates are both scored.
+        let mut q = Q::new(DEFAULT_WINDOW);
+        q.push(3, 500);
+        q.push(4, 10);
+        assert_eq!(q.pop(QueuePolicy::Sptf, counting).unwrap().id, 4);
+        assert_eq!(scored.get(), 2);
     }
 
     #[test]
