@@ -1,13 +1,12 @@
 //! Executor counters, split across the two observability planes.
 //!
 //! * [`POINTS_RUN`] is **deterministic**: a sweep runs exactly the
-//!   points its plan enumerates, regardless of worker count or steal
-//!   interleaving, so the exported total is byte-identical across
-//!   runs, hosts, and `--jobs`.
-//! * [`WORKERS_SPAWNED`] and [`STEALS`] are **host-plane**: they
-//!   depend on `--jobs` and on scheduler timing, so the counter export
-//!   quarantines them in the non-gated `"host"` section
-//!   (see `crate::profile`).
+//!   points its plan enumerates, regardless of worker count or which
+//!   worker ran which point, so the exported total is byte-identical
+//!   across runs, hosts, and `--jobs`.
+//! * [`WORKERS_SPAWNED`] is **host-plane**: it depends on `--jobs`, so
+//!   the counter export quarantines it in the non-gated `"host"`
+//!   section (see `crate::profile`).
 
 use simkit::counters::Counter;
 
@@ -17,17 +16,14 @@ pub static POINTS_RUN: Counter = Counter::new("experiments.points_run");
 /// Worker threads spawned by parallel sweeps (host-plane).
 pub static WORKERS_SPAWNED: Counter = Counter::new("exec.workers_spawned");
 
-/// Points stolen from a peer worker's queue (host-plane).
-pub static STEALS: Counter = Counter::new("exec.steals");
-
 /// The deterministic counters this crate owns, in export (name) order.
 pub fn deterministic() -> [&'static Counter; 1] {
     [&POINTS_RUN]
 }
 
 /// The host-plane counters this crate owns, in export (name) order.
-pub fn host() -> [&'static Counter; 2] {
-    [&STEALS, &WORKERS_SPAWNED]
+pub fn host() -> [&'static Counter; 1] {
+    [&WORKERS_SPAWNED]
 }
 
 /// Reset every counter this crate owns (both planes).

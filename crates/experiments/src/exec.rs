@@ -1,14 +1,13 @@
 //! Deterministic parallel execution of [`ExperimentPlan`]s.
 //!
-//! The executor is a hand-rolled work-stealing thread pool: the
-//! registry mirror is unreachable, so no rayon — only `std`. Points
-//! are dealt round-robin onto per-worker deques; idle workers steal
-//! from the back of their peers' queues; every finished point is sent
-//! home tagged with its plan index and reassembled into plan order.
-//! Because each [`Study::run_point`] is a pure function of
-//! `(point, scale)`, the reassembled output vector — and therefore the
-//! reduced report — is byte-identical no matter how many workers ran
-//! or how the steals interleaved.
+//! The executor is a hand-rolled thread pool: the registry mirror is
+//! unreachable, so no rayon — only `std`. Workers take the next plan
+//! index from one shared cursor; every finished point is sent home
+//! tagged with its plan index and reassembled into plan order. Because
+//! each [`Study::run_point`] is a pure function of `(point, scale)`,
+//! the reassembled output vector — and therefore the reduced report —
+//! is byte-identical no matter how many workers ran or which took
+//! which point.
 //!
 //! Threads live *here* and nowhere else in the simulation crates: the
 //! simulator itself stays single-threaded and deterministic, the pool
@@ -20,16 +19,20 @@
 //! study fails with the *lowest-indexed* panicking point; if any point
 //! returns a [`DriveError`], the study fails with the first erring
 //! point in plan order.
+//!
+//! The executor also times its own phases — planning, each point,
+//! waiting on workers, reduction — into a [`PhaseTimes`] it owns
+//! ([`Executor::times`]): two clock reads per timed entry, always on.
+//! `repro --profile` builds its phase profile from them.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, MutexGuard};
 
 use diskmodel::DriveError;
-use telemetry::prof::{self, Phase};
+use telemetry::prof::{Phase, PhaseTime, PhaseTimes, Stopwatch};
 
 use crate::configs::Scale;
 use crate::plan::Study;
@@ -90,20 +93,22 @@ impl std::error::Error for StudyError {
 }
 
 /// How a sweep runs: how many worker threads, and whether per-point
-/// progress lines go to stderr.
+/// progress lines go to stderr. It records the host time of its phases
+/// as it goes.
 ///
 /// Progress goes to *stderr* so stdout — the rendered report — stays
 /// byte-identical between serial and parallel runs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor {
     jobs: usize,
     progress: bool,
+    times: Mutex<PhaseTimes>,
 }
 
 impl Executor {
     /// An executor with `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1), progress: false }
+        Executor { jobs: jobs.max(1), progress: false, times: Mutex::default() }
     }
 
     /// The single-worker executor: points run inline, in plan order.
@@ -127,6 +132,20 @@ impl Executor {
         self.progress
     }
 
+    /// Host time spent so far in each phase of the work this executor
+    /// ran: `plan` and `reduce` per study, `run_point` per point
+    /// (on worker threads when the points ran in parallel), and
+    /// `exec_idle` while the calling thread waited on workers.
+    pub fn times(&self) -> PhaseTimes {
+        *self.times_mut()
+    }
+
+    fn times_mut(&self) -> MutexGuard<'_, PhaseTimes> {
+        // Points run outside the lock, so nothing panics while it is
+        // held; recovering from poison is only a fallback.
+        self.times.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Applies `f` to every point, returning the results in input
     /// order regardless of which worker ran which point.
     ///
@@ -142,9 +161,15 @@ impl Executor {
     {
         let workers = self.jobs.min(points.len().max(1));
         if workers <= 1 {
-            return map_serial(points, &f);
+            let (out, busy) = map_serial(points, &f);
+            self.times_mut().add(Phase::RunPoint, busy);
+            return out;
         }
-        map_parallel(points, &f, workers)
+        let (out, busy, idle) = map_parallel(points, &f, workers);
+        let mut times = self.times_mut();
+        times.add_on_workers(Phase::RunPoint, busy);
+        times.add(Phase::ExecIdle, idle);
+        out
     }
 }
 
@@ -160,98 +185,91 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn map_serial<P, T, F>(points: &[P], f: &F) -> Result<Vec<T>, PointPanic>
+/// Runs every point on the calling thread, in plan order; also returns
+/// the time spent in the points.
+fn map_serial<P, T, F>(points: &[P], f: &F) -> (Result<Vec<T>, PointPanic>, PhaseTime)
 where
     F: Fn(usize, &P) -> T,
 {
+    let mut busy = PhaseTime::default();
     let mut out = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
+        let clock = Stopwatch::start();
         // AssertUnwindSafe: a panicking point aborts the whole study,
         // so no partially-updated state is ever observed afterwards.
-        match catch_unwind(AssertUnwindSafe(|| f(i, p))) {
+        let result = catch_unwind(AssertUnwindSafe(|| f(i, p)));
+        busy.merge(clock.lap());
+        match result {
             Ok(v) => out.push(v),
             Err(payload) => {
-                return Err(PointPanic { index: i, message: panic_message(payload) })
+                let panic = PointPanic { index: i, message: panic_message(payload) };
+                return (Err(panic), busy);
             }
         }
     }
-    Ok(out)
+    (Ok(out), busy)
 }
 
-fn map_parallel<P, T, F>(points: &[P], f: &F, workers: usize) -> Result<Vec<T>, PointPanic>
+/// Runs the points on `workers` threads; also returns the workers' time
+/// in the points and the calling thread's time waiting on them.
+fn map_parallel<P, T, F>(
+    points: &[P],
+    f: &F,
+    workers: usize,
+) -> (Result<Vec<T>, PointPanic>, PhaseTime, PhaseTime)
 where
     P: Sync,
     T: Send,
     F: Fn(usize, &P) -> T + Sync,
 {
-    // Deal indices round-robin onto per-worker deques. Workers pop
-    // their own queue from the front and steal from peers' backs, so
-    // contention only appears once a worker runs dry.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..points.len() {
-        queues[i % workers]
-            .lock()
-            .expect("queue lock poisoned during deal")
-            .push_back(i);
-    }
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
+    // Workers claim plan indices in order from one shared cursor.
+    // Relaxed: the cursor hands out indices and publishes no other
+    // data; results come back over the channel.
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, Result<T, String>, PhaseTime)>();
     let mut slots: Vec<Option<T>> = Vec::with_capacity(points.len());
     slots.resize_with(points.len(), || None);
     let mut panics: Vec<PointPanic> = Vec::new();
+    let mut busy = PhaseTime::default();
+    let mut idle = PhaseTime::default();
     crate::counters::WORKERS_SPAWNED.add(workers as u64);
     std::thread::scope(|scope| { // simlint: allow(no-thread-in-sim) — the executor is the one sanctioned thread user
-        for w in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
-            scope.spawn(move || {
-                loop {
-                    let idx = next_index(queues, w);
-                    let Some(i) = idx else { break };
-                    // AssertUnwindSafe: see `map_serial` — a panic
-                    // fails the study, results are never consumed.
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, &points[i])))
-                        .map_err(panic_message);
-                    if tx.send((i, out)).is_err() {
-                        break; // collector gone; nothing left to report to
-                    }
+            let cursor = &cursor;
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(p) = points.get(i) else { break };
+                let clock = Stopwatch::start();
+                // AssertUnwindSafe: see `map_serial` — a panic fails
+                // the study, results are never consumed.
+                let out = catch_unwind(AssertUnwindSafe(|| f(i, p))).map_err(panic_message);
+                if tx.send((i, out, clock.lap())).is_err() {
+                    break; // collector gone; nothing left to report to
                 }
             });
         }
         drop(tx);
         // The collector thread spends this loop blocked on the channel
         // while workers replay points: executor idle time.
-        let _idle = prof::scope(Phase::ExecIdle);
-        for (i, out) in rx.iter() {
+        let clock = Stopwatch::start();
+        for (i, out, spent) in rx.iter() {
+            busy.merge(spent);
             match out {
                 Ok(v) => slots[i] = Some(v),
                 Err(message) => panics.push(PointPanic { index: i, message }),
             }
         }
+        idle = clock.lap();
     });
     if let Some(worst) = panics.into_iter().min_by_key(|p| p.index) {
-        return Err(worst);
+        return (Err(worst), busy, idle);
     }
-    Ok(slots
+    let out = slots
         .into_iter()
         .map(|s| s.expect("every index was either collected or panicked"))
-        .collect())
-}
-
-/// Pops the next index for worker `w`: its own queue first, then a
-/// steal from the back of each peer's queue.
-fn next_index(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = queues[w].lock().expect("queue lock poisoned").pop_front() {
-        return Some(i);
-    }
-    for off in 1..queues.len() {
-        let victim = (w + off) % queues.len();
-        if let Some(i) = queues[victim].lock().expect("queue lock poisoned").pop_back() {
-            crate::counters::STEALS.add(1);
-            return Some(i);
-        }
-    }
-    None
+        .collect();
+    (Ok(out), busy, idle)
 }
 
 /// Plans, executes, and reduces one study on `exec`'s workers.
@@ -262,20 +280,16 @@ pub fn run_study<S: Study>(
     scale: Scale,
     exec: &Executor,
 ) -> Result<S::Report, StudyError> {
-    let plan = {
-        let _plan = prof::scope(Phase::Plan);
-        study.plan(scale)
-    };
+    let clock = Stopwatch::start();
+    let plan = study.plan(scale);
+    exec.times_mut().add(Phase::Plan, clock.lap());
     let points = plan.points();
     let total = points.len();
     let done = AtomicUsize::new(0);
-    let clock = prof::Stopwatch::start();
+    let clock = Stopwatch::start();
     let outcome = exec.map(points, |_, p| {
-        let out = {
-            let _rp = prof::scope(Phase::RunPoint);
-            crate::counters::POINTS_RUN.add(1);
-            study.run_point(p, scale)
-        };
+        crate::counters::POINTS_RUN.add(1);
+        let out = study.run_point(p, scale);
         if exec.progress() {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             let secs = clock.elapsed_secs().max(1e-9);
@@ -315,8 +329,10 @@ pub fn run_study<S: Study>(
             }
         }
     }
-    let _reduce = prof::scope(Phase::Reduce);
-    Ok(study.reduce(outputs))
+    let clock = Stopwatch::start();
+    let report = study.reduce(outputs);
+    exec.times_mut().add(Phase::Reduce, clock.lap());
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -417,6 +433,26 @@ mod tests {
         let parallel = Doubler.run(scale, &Executor::new(4)).expect("no failing point");
         assert_eq!(serial, vec![0, 2, 4, 6, 8, 10]);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn executor_times_plan_points_idle_and_reduce() {
+        let scale = Scale::quick().with_requests(6);
+        let serial = Executor::serial();
+        Doubler.run(scale, &serial).expect("no failing point");
+        let t = serial.times();
+        assert_eq!(t.get(Phase::Plan).calls, 1);
+        assert_eq!(t.get(Phase::RunPoint).calls, 6);
+        assert_eq!(t.get(Phase::Reduce).calls, 1);
+        assert_eq!(t.get(Phase::ExecIdle).calls, 0);
+        let parallel = Executor::new(3);
+        Doubler.run(scale, &parallel).expect("no failing point");
+        Doubler.run(scale, &parallel).expect("no failing point");
+        let t = parallel.times();
+        assert_eq!(t.get(Phase::Plan).calls, 2);
+        assert_eq!(t.get(Phase::RunPoint).calls, 0);
+        assert_eq!(t.on_workers(Phase::RunPoint).calls, 12);
+        assert_eq!(t.get(Phase::ExecIdle).calls, 2);
     }
 
     #[test]

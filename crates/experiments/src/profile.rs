@@ -7,10 +7,11 @@
 //!   (simkit wheel/slab/histogram, intradisk dispatch/cost/cache,
 //!   array controller, workload ingestion, executor points), plus a
 //!   quarantined `"host"` section for values that legitimately vary
-//!   with `--jobs` (worker count, steals). The `"deterministic"`
+//!   with `--jobs` (jobs, workers spawned). The `"deterministic"`
 //!   section is **byte-identical** across runs, hosts, and `--jobs`;
 //!   `scripts/verify.sh` gates on exactly that.
-//! * `profile.txt` — the phase table ([`ProfReport::table`]).
+//! * `profile.txt` — the phase table ([`ProfReport::table`]), built
+//!   from the phase times the executor and `repro` record.
 //! * `profile.folded` — collapsed-stack lines, one per phase path,
 //!   ready for any flamegraph renderer.
 //! * `BENCH_profile.json` — the phase profile in the repo's BENCH

@@ -23,7 +23,6 @@ use diskmodel::{DiskParams, DriveError};
 use intradisk::failure::FailureSchedule;
 use intradisk::{CompletedIo, DiskDrive, DriveConfig, DriveMetrics, IoRequest, PowerBreakdown};
 use simkit::{EventQueue, QueueStats, ResponseStats, SimDuration, SimTime};
-use telemetry::prof::{self, Phase};
 use telemetry::{NullRecorder, Recorder};
 use workload::{CountingSource, IntoRequestSource, RequestSource};
 
@@ -98,18 +97,14 @@ pub fn run<D: Device, R: Recorder, O: RunObserver<D>>(
     mut hooks: Hooks<R, O>,
 ) -> Result<D::Output, DriveError> {
     let mut source = CountingSource::new(workload.into_source());
-    let mut pull = move || {
-        let _sp = prof::scope(Phase::SourcePull);
-        source.next_request()
-    };
     // One-request lookahead: the only workload state the loop holds.
-    let mut pending = pull();
+    let mut pending = source.next_request();
     let mut end = SimTime::ZERO;
     loop {
         match (pending, device.next_event()) {
             // An arrival goes first, also when it ties with the event.
             (Some(r), event) if event.is_none_or(|e| r.arrival <= e) => {
-                pending = pull();
+                pending = source.next_request();
                 end = end.max(r.arrival);
                 device.submit(r, &mut hooks.recorder)?;
             }
@@ -305,7 +300,6 @@ impl ArrayDevice {
     }
 
     fn schedule(&mut self, disk: usize, t: SimTime) {
-        let _kp = prof::scope(Phase::KernelPush);
         self.events.push(t, disk);
     }
 }
@@ -330,11 +324,7 @@ impl Device for ArrayDevice {
         _now: SimTime,
         rec: &mut R,
     ) -> Result<Option<LogicalCompletion>, DriveError> {
-        let ev = {
-            let _kp = prof::scope(Phase::KernelPop);
-            self.events.pop()
-        }
-        .ok_or(DriveError::NotInService)?;
+        let ev = self.events.pop().ok_or(DriveError::NotInService)?;
         let mut out = self
             .array
             .on_disk_complete_traced(ev.payload, ev.time, rec)?;

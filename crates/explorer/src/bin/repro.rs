@@ -19,17 +19,20 @@
 //!             all (default: all; `all` includes the extension studies)
 //! ```
 //!
-//! `--profile DIR` turns on the self-profiler for the run and writes
-//! four artifacts into DIR afterwards: `profile.txt` (host wall-clock
-//! phase table), `profile.folded` (collapsed stacks for flamegraph
-//! tools), `counters.json` (deterministic kernel counters; the
-//! `"deterministic"` section is byte-identical across runs, hosts, and
-//! `--jobs`), and `BENCH_profile.json` (phase profile in the repo's
-//! BENCH schema). `--heartbeat SECS` makes `repro scale` emit live
-//! `[hb ...]` snapshots (completed, req/s, ETA, streaming p90, peak
-//! RSS) to stderr every SECS seconds; `--heartbeat-file PATH`
-//! additionally rewrites a Prometheus textfile atomically on each
-//! beat.
+//! `--profile DIR` writes four artifacts into DIR after the run:
+//! `profile.txt` (host wall-clock phase table), `profile.folded`
+//! (collapsed stacks for flamegraph tools), `counters.json`
+//! (deterministic kernel counters; the `"deterministic"` section is
+//! byte-identical across runs, hosts, and `--jobs`), and
+//! `BENCH_profile.json` (phase profile in the repo's BENCH schema).
+//! The phases are coarse — the whole run, each study's plan, points
+//! and reduction (timed by the executor), exports and heartbeats (timed
+//! here) — so the profile costs a few clock reads per point and leaves
+//! the run's wall time as it is; per-layer work is in the counters.
+//! `--heartbeat SECS` makes `repro scale` emit live `[hb ...]`
+//! snapshots (completed, req/s, ETA, streaming p90, peak RSS) to
+//! stderr every SECS seconds; `--heartbeat-file PATH` additionally
+//! rewrites a Prometheus textfile atomically on each beat.
 //!
 //! `--stats streaming` swaps the studies' exact sample stores for
 //! bounded-memory streaming accumulators; with it, request counts far
@@ -72,6 +75,7 @@ use experiments::{
     RpmStudy, SaStudy, Study, StudyError, ValidationStudy,
 };
 use simkit::StatsMode;
+use telemetry::prof::{Heartbeat, Phase, PhaseTimes, ProfReport, Stopwatch};
 
 struct Args {
     experiment: String,
@@ -292,7 +296,7 @@ fn parse_args() -> Result<Args, String> {
 /// cache, write `<out>/explore.json`, and render `<out>/report.html`
 /// with the Pareto panel. Cache hit/miss counts go to stderr; stdout
 /// and the artifacts are byte-identical across jobs and cache states.
-fn run_explore(args: &Args) -> Result<(), String> {
+fn run_explore(args: &Args, times: &mut PhaseTimes) -> Result<(), String> {
     let defaults = explorer::SweepScale::default();
     let scale = explorer::SweepScale {
         requests: if args.requests_set { args.scale.requests } else { defaults.requests },
@@ -315,7 +319,9 @@ fn run_explore(args: &Args) -> Result<(), String> {
         cache: args.explore_cache.as_deref().map(explorer::PointCache::new),
     };
     let exec = Executor::new(args.jobs);
-    let out = explorer::explore(&opts, &exec).map_err(|e| e.to_string())?;
+    let explored = explorer::explore(&opts, &exec);
+    times.merge(&exec.times());
+    let out = explored.map_err(|e| e.to_string())?;
     eprintln!(
         "[explore: {} points ({} executed, {} cached), {} on the frontier]",
         out.points.len(),
@@ -403,7 +409,7 @@ fn run_spc(args: &Args) -> Result<(), String> {
 /// snapshot line (and optionally rewrites the Prometheus textfile).
 /// The mask keeps the clock read off the per-request path.
 struct HeartbeatObserver {
-    hb: telemetry::prof::Heartbeat,
+    hb: Heartbeat,
     completed: u64,
 }
 
@@ -414,7 +420,7 @@ impl HeartbeatObserver {
 
     fn new(every_secs: f64, total: Option<u64>, file: Option<&std::path::Path>) -> Self {
         HeartbeatObserver {
-            hb: telemetry::prof::Heartbeat::new(every_secs, total, file),
+            hb: Heartbeat::new(every_secs, total, file),
             completed: 0,
         }
     }
@@ -447,7 +453,7 @@ fn max_rss_kb() -> Option<u64> {
 /// count can far exceed what would fit materialized. Stats go to
 /// stdout; the peak-RSS probe goes to stderr so stdout stays
 /// deterministic for a given configuration.
-fn run_scale(args: &Args) -> Result<(), String> {
+fn run_scale(args: &Args, times: &mut PhaseTimes) -> Result<(), String> {
     let params = hcsd_params();
     let spec = workload::SyntheticSpec::paper(
         args.inter_arrival_ms,
@@ -457,12 +463,14 @@ fn run_scale(args: &Args) -> Result<(), String> {
     let config = intradisk::DriveConfig::sa(args.actuators).with_stats_mode(args.scale.stats);
     let r = if let Some(every) = args.heartbeat_secs {
         let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
-        let obs = HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
-        experiments::run(
+        let mut obs = HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
+        let r = experiments::run(
             experiments::DriveDevice::new(&params, config),
             spec.source(args.scale.seed),
-            experiments::Hooks::none().observer(obs),
-        )
+            experiments::Hooks::none().observer(&mut obs),
+        );
+        times.add(Phase::Heartbeat, obs.hb.time());
+        r
     } else {
         experiments::run_drive(&params, config, spec.source(args.scale.seed))
     }
@@ -623,20 +631,19 @@ fn main() -> ExitCode {
         }
     };
 
-    // With --profile, the whole dispatch runs under the profiler (and
-    // under a root `run` phase scope) and the artifacts are written
-    // after it returns.
-    let clock = if args.profile_dir.is_some() {
+    // The executor and `dispatch` time the run's phases whether or not
+    // --profile is given; with it, the whole dispatch is the root `run`
+    // phase and the artifacts are written after it returns.
+    if args.profile_dir.is_some() {
         experiments::profile::reset_counters();
-        telemetry::prof::enable();
-        Some(telemetry::prof::Stopwatch::start())
-    } else {
-        None
-    };
-    let code = dispatch(&args);
-    if let (Some(dir), Some(clock)) = (args.profile_dir.as_deref(), clock) {
-        telemetry::prof::disable();
-        let report = telemetry::prof::ProfReport::take(clock.elapsed_ns());
+    }
+    let clock = Stopwatch::start();
+    let mut times = PhaseTimes::default();
+    let code = dispatch(&args, &mut times);
+    if let Some(dir) = args.profile_dir.as_deref() {
+        let run = clock.lap();
+        times.add(Phase::Run, run);
+        let report = ProfReport::new(run.ns, &times);
         eprintln!(
             "[profile: {:.0} ms wall, {:.1}% attributed, {:.1} ms unattributed]",
             report.wall_ns as f64 / 1e6,
@@ -664,11 +671,11 @@ fn main() -> ExitCode {
     code
 }
 
-fn dispatch(args: &Args) -> ExitCode {
-    let _run = telemetry::prof::scope(telemetry::prof::Phase::Run);
-
+/// Runs the command `args` names, adding the host time of its phases
+/// to `times`.
+fn dispatch(args: &Args, times: &mut PhaseTimes) -> ExitCode {
     if args.experiment == "scale" {
-        return match run_scale(args) {
+        return match run_scale(args, times) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -705,7 +712,7 @@ fn dispatch(args: &Args) -> ExitCode {
     }
 
     if args.experiment == "explore" {
-        return match run_explore(args) {
+        return match run_explore(args, times) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -715,7 +722,9 @@ fn dispatch(args: &Args) -> ExitCode {
     }
 
     let exec = Executor::new(args.jobs).with_progress();
-    if let Err(e) = run_experiments(args, &exec) {
+    let ran = run_experiments(args, &exec);
+    times.merge(&exec.times());
+    if let Err(e) = ran {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
@@ -724,7 +733,7 @@ fn dispatch(args: &Args) -> ExitCode {
     // their file lists go to stderr: stdout stays byte-identical
     // whether or not (and with whatever --jobs) they are enabled.
     if let Some(dir) = args.trace_dir.as_deref() {
-        let _exp = telemetry::prof::scope(telemetry::prof::Phase::ExportTrace);
+        let clock = Stopwatch::start();
         let dir = std::path::Path::new(dir);
         match experiments::tracing::export_traces(dir, args.scale) {
             Ok(export) => {
@@ -744,9 +753,10 @@ fn dispatch(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+        times.add(Phase::ExportTrace, clock.lap());
     }
     if let Some(dir) = args.metrics_dir.as_deref() {
-        let _exp = telemetry::prof::scope(telemetry::prof::Phase::ExportMetrics);
+        let clock = Stopwatch::start();
         let dir = std::path::Path::new(dir);
         match experiments::metrics_export::export_metrics(dir, args.scale) {
             Ok(files) => {
@@ -759,6 +769,7 @@ fn dispatch(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+        times.add(Phase::ExportMetrics, clock.lap());
     }
     ExitCode::SUCCESS
 }

@@ -412,10 +412,7 @@ impl DiskDrive {
         if let Some((lba, sectors)) = srv.install {
             self.cache.install(lba, sectors);
         }
-        {
-            let _prof = telemetry::prof::scope(telemetry::prof::Phase::StatsRecord);
-            self.metrics.record(&srv.done);
-        }
+        self.metrics.record(&srv.done);
         if R::ENABLED {
             rec.record(now, TraceEvent::Complete { req: srv.done.request.id });
         }
@@ -476,7 +473,6 @@ impl DiskDrive {
         if self.in_flight.len() >= self.max_in_flight() {
             return Ok(None);
         }
-        let _scan_prof = telemetry::prof::scope(telemetry::prof::Phase::DispatchScan);
         self.prof.scans.bump();
         let policy = self.config.policy;
         let scaling = self.config.scaling;
@@ -489,9 +485,6 @@ impl DiskDrive {
         // from `now` would systematically pick sectors that have just
         // passed the head by the time the seek is issued.
         let start = now + self.overhead;
-        // Per-candidate cost is not scoped (a scope per candidate made
-        // the profiler measure itself): it is this scan's self time over
-        // `intradisk.dispatch.candidates`.
         let cost = |t: &Target| -> SimDuration {
             prof.candidates.bump();
             match policy {
@@ -609,21 +602,18 @@ impl DiskDrive {
         }
 
         self.prof.plan_evals.bump();
-        let plan = {
-            let _plan_prof = telemetry::prof::scope(telemetry::prof::Phase::CostModel);
-            self.mech.plan_set_with_heads(
-                &self.arms,
-                self.config.heads_per_arm,
-                target,
-                req.sectors,
-                PlanTimes {
-                    now,
-                    start: now + overhead,
-                    channel_free_at: self.channel_free_at,
-                },
-                self.config.scaling,
-            )?
-        };
+        let plan = self.mech.plan_set_with_heads(
+            &self.arms,
+            self.config.heads_per_arm,
+            target,
+            req.sectors,
+            PlanTimes {
+                now,
+                start: now + overhead,
+                channel_free_at: self.channel_free_at,
+            },
+            self.config.scaling,
+        )?;
         let finish = now + overhead + plan.total();
         // The transfer walk locates each track after the target's.
         self.prof

@@ -5,8 +5,8 @@
 //! count *simulated work* (wheel pushes, slab inserts, histogram
 //! records …), never host time, so their totals are a pure function of
 //! the workload and configuration: byte-identical across runs, hosts,
-//! and `--jobs` values. Host-dependent attribution (which worker ran
-//! which point, steal counts) lives in a separate, explicitly
+//! and `--jobs` values. Host-dependent values (jobs, workers
+//! spawned) live in a separate, explicitly
 //! non-deterministic section of the export — see
 //! `experiments::profile`.
 //!

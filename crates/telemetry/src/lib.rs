@@ -15,9 +15,11 @@
 //!    the simulator's determinism contract: byte-identical across runs,
 //!    hosts, and `--jobs` values. The one documented exception is
 //!    [`prof`], the host-time *self*-profiling plane: it reads the
-//!    host clock to attribute the simulator's own execution time, and
-//!    its measurements flow only outward (stderr, profile files) —
-//!    never into sim state or results.
+//!    host clock to time the simulator's coarse phases (planning,
+//!    points, reduction, exports), never a single request, and its
+//!    measurements flow only outward (stderr, profile files) — never
+//!    into sim state or results. It holds no global state: the times
+//!    are a value their owner returns.
 //! 2. **Near-zero cost when off.** Instrumented code is generic over
 //!    [`Recorder`] and gates event construction on the associated
 //!    constant `R::ENABLED`. With [`NullRecorder`] the branch is

@@ -3,12 +3,13 @@
 //!
 //! Everything else in this crate (and in every sim crate) runs on
 //! *virtual* time; this module is the one sanctioned exception. It
-//! attributes real wall-clock execution time to named phases
-//! ([`Phase`]) via scoped timers ([`scope`]), so a slow run can be
-//! decomposed into event-kernel work, dispatch scanning, cost-model
-//! evaluation, stats recording, export time, and executor idle — the
-//! measurement ROADMAP item 1's "cost model and dispatch scan now
-//! dominate" claim needs.
+//! gives the code that owns a run's coarse phases — the executor
+//! (planning, points, waiting on workers, reduction) and `repro`
+//! (the whole run, exports, heartbeats) — a [`Stopwatch`] to time them
+//! and a [`PhaseTimes`] value to add the times up in, and renders the
+//! result as a [`ProfReport`]. Nothing per request is timed: per-layer
+//! work comes from the deterministic counters, which count it exactly
+//! and cost no clock reads.
 //!
 //! # The wall-clock carve-out
 //!
@@ -23,69 +24,41 @@
 //!
 //! # Design
 //!
-//! * Disabled (the default), [`scope`] is one relaxed atomic load and a
-//!   branch — within the repo's ≤2% disabled-observability overhead
-//!   budget.
-//! * Enabled, each scope stamps the monotonic clock on entry and exit
-//!   and accrues *self time* to the innermost open phase, so a parent's
-//!   self time never double-counts its children.
-//! * The open-phase stack is a thread-local `u64` path (8 bits per
-//!   level, up to [`MAX_DEPTH`] levels; deeper scopes become no-ops),
-//!   and per-thread accumulators flush into a global table whenever the
-//!   stack returns to depth zero — worker threads profile without
-//!   cross-thread traffic in steady state.
-//! * [`ProfReport`] renders the table as a human-readable phase tree, a
+//! * No global state: a [`PhaseTimes`] is an ordinary value its owner
+//!   fills in and hands over, so profiling needs no enable flag and is
+//!   always on; it costs two clock reads per timed phase entry.
+//! * Phases are two levels deep. A phase timed on the thread that runs
+//!   the command is a child of `run`, and its time comes out of `run`'s
+//!   self time; a phase timed on a worker thread is a root of its own
+//!   (thread time, which overlaps the caller's `exec_idle`).
+//! * [`ProfReport`] renders the times as a human-readable phase tree, a
 //!   collapsed-stack (flamegraph-format) file, and feeds
 //!   `BENCH_profile.json`.
 //!
-//! [`Heartbeat`] reuses the same clock for periodic live-run snapshots
-//! (stderr + atomically rewritten Prometheus textfile), and
-//! [`Stopwatch`] gives callers a plain monotonic timer for progress
-//! lines.
+//! [`Heartbeat`] uses the same clock for periodic live-run snapshots
+//! (stderr + atomically rewritten Prometheus textfile) and adds up the
+//! time it spends beating.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 // The one sanctioned host-clock import in the sim crates: prof
 // measurements flow outward (files/stderr), never into sim state.
 // simlint: allow(no-wall-clock)
 use std::time::Instant as HostInstant;
 
-/// Maximum profiled scope nesting depth; deeper scopes are no-ops.
-pub const MAX_DEPTH: usize = 8;
-
-/// A named execution phase. The set covers everything a `repro` run
-/// spends meaningful time in; self-time attribution means phases nest
-/// freely without double counting.
+/// A named execution phase: the coarse steps a `repro` run spends its
+/// host time in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Phase {
     /// Whole-run root (study dispatch, reduction, rendering).
-    Run = 0,
+    Run,
     /// Planning a study's point list.
     Plan,
-    /// One plan point's simulation (worker-side root when parallel).
+    /// One plan point's simulation.
     RunPoint,
-    /// Pulling the next request from a workload source.
-    SourcePull,
-    /// Event-kernel enqueue.
-    KernelPush,
-    /// Event-kernel dequeue.
-    KernelPop,
-    /// Scheduler dispatch scan over pending requests and arms.
-    DispatchScan,
-    /// Mechanical cost-model evaluation: one media-access plan. The
-    /// per-candidate SPTF scoring is not scoped; it is part of
-    /// [`Phase::DispatchScan`]'s self time.
-    CostModel,
-    /// Recording completed-request statistics.
-    StatsRecord,
-    /// Executor main thread waiting on worker results.
+    /// The calling thread waiting on worker results.
     ExecIdle,
     /// Plan-order result reduction.
     Reduce,
@@ -97,17 +70,11 @@ pub enum Phase {
     Heartbeat,
 }
 
-/// Every phase, indexed by its path code (`Phase as u8`).
-pub const PHASES: [Phase; 14] = [
+/// Every phase, indexed by `Phase as usize`.
+pub const PHASES: [Phase; 8] = [
     Phase::Run,
     Phase::Plan,
     Phase::RunPoint,
-    Phase::SourcePull,
-    Phase::KernelPush,
-    Phase::KernelPop,
-    Phase::DispatchScan,
-    Phase::CostModel,
-    Phase::StatsRecord,
     Phase::ExecIdle,
     Phase::Reduce,
     Phase::ExportTrace,
@@ -122,12 +89,6 @@ impl Phase {
             Phase::Run => "run",
             Phase::Plan => "plan",
             Phase::RunPoint => "run_point",
-            Phase::SourcePull => "source_pull",
-            Phase::KernelPush => "kernel_push",
-            Phase::KernelPop => "kernel_pop",
-            Phase::DispatchScan => "dispatch_scan",
-            Phase::CostModel => "cost_model",
-            Phase::StatsRecord => "stats_record",
             Phase::ExecIdle => "exec_idle",
             Phase::Reduce => "reduce",
             Phase::ExportTrace => "export_trace",
@@ -135,155 +96,70 @@ impl Phase {
             Phase::Heartbeat => "heartbeat",
         }
     }
-
-    fn from_code(code: u8) -> Option<Phase> {
-        PHASES.get(code as usize).copied()
-    }
 }
 
 // ---------------------------------------------------------------------
-// Clock and enable flag
+// Phase times
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<HostInstant> = OnceLock::new();
-
-/// Nanoseconds since the profiling epoch (first clock use).
-pub fn now_ns() -> u64 {
-    EPOCH.get_or_init(HostInstant::now).elapsed().as_nanos() as u64
+/// Host time spent in one phase: `calls` timed entries, `ns` in total.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTime {
+    /// Nanoseconds over all calls.
+    pub ns: u64,
+    /// Timed entries.
+    pub calls: u64,
 }
 
-/// Turns phase profiling on. Scopes entered while disabled were no-ops
-/// and stay no-ops through their exit.
-pub fn enable() {
-    now_ns(); // pin the epoch
-    ENABLED.store(true, Ordering::Relaxed);
-}
+impl PhaseTime {
+    /// One call that took `ns`.
+    pub fn once(ns: u64) -> Self {
+        PhaseTime { ns, calls: 1 }
+    }
 
-/// Turns phase profiling off (new scopes become no-ops).
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// True if phase profiling is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------
-// Per-thread scope stack and accumulator
-
-#[derive(Debug, Default, Clone, Copy)]
-struct PathStat {
-    self_ns: u64,
-    enters: u64,
-    exits: u64,
-}
-
-#[derive(Default)]
-struct Tls {
-    depth: usize,
-    /// Open-phase stack encoded 8 bits per level, innermost in the low
-    /// byte; each byte is `phase code + 1` so 0 means "empty".
-    path: u64,
-    /// Clock stamp of the last scope boundary on this thread.
-    last: u64,
-    acc: BTreeMap<u64, PathStat>,
-}
-
-thread_local! {
-    static TLS: RefCell<Tls> = RefCell::new(Tls::default());
-}
-
-static TOTALS: Mutex<BTreeMap<u64, PathStat>> = Mutex::new(BTreeMap::new());
-
-fn merge_into_totals(acc: BTreeMap<u64, PathStat>) {
-    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-    for (path, stat) in acc {
-        let t = totals.entry(path).or_default();
-        t.self_ns += stat.self_ns;
-        t.enters += stat.enters;
-        t.exits += stat.exits;
+    /// Adds `other`'s time and calls to this one.
+    pub fn merge(&mut self, other: PhaseTime) {
+        self.ns += other.ns;
+        self.calls += other.calls;
     }
 }
 
-/// RAII guard for one profiled phase; created by [`scope`].
-#[derive(Debug)]
-pub struct Scope {
-    active: bool,
+/// Host time per [`Phase`], on the thread that runs the command and on
+/// worker threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    caller: [PhaseTime; PHASES.len()],
+    workers: [PhaseTime; PHASES.len()],
 }
 
-/// Opens a profiled scope for `phase`. Disabled or past [`MAX_DEPTH`],
-/// this is a no-op guard.
-#[inline]
-pub fn scope(phase: Phase) -> Scope {
-    if !enabled() {
-        return Scope { active: false };
+impl PhaseTimes {
+    /// Adds `t` to `phase` as timed on the thread that runs the
+    /// command.
+    pub fn add(&mut self, phase: Phase, t: PhaseTime) {
+        self.caller[phase as usize].merge(t);
     }
-    let entered = TLS.with(|tls| {
-        let mut t = tls.borrow_mut();
-        if t.depth >= MAX_DEPTH {
-            return false;
-        }
-        let now = now_ns();
-        if t.depth > 0 {
-            let path = t.path;
-            let since_last = now.saturating_sub(t.last);
-            t.acc.entry(path).or_default().self_ns += since_last;
-        }
-        t.depth += 1;
-        t.path = (t.path << 8) | (phase as u64 + 1);
-        let path = t.path;
-        t.acc.entry(path).or_default().enters += 1;
-        t.last = now;
-        true
-    });
-    Scope { active: entered }
-}
 
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        TLS.with(|tls| {
-            let mut t = tls.borrow_mut();
-            if t.depth == 0 {
-                // Unbalanced exit (only reachable if a caller leaks a
-                // guard across reset); drop silently.
-                return;
-            }
-            let now = now_ns();
-            let path = t.path;
-            let since_last = now.saturating_sub(t.last);
-            {
-                let stat = t.acc.entry(path).or_default();
-                stat.self_ns += since_last;
-                stat.exits += 1;
-            }
-            t.path >>= 8;
-            t.depth -= 1;
-            t.last = now;
-            if t.depth == 0 {
-                let acc = std::mem::take(&mut t.acc);
-                drop(t);
-                merge_into_totals(acc);
-            }
-        });
+    /// Adds `t` to `phase` as timed on worker threads.
+    pub fn add_on_workers(&mut self, phase: Phase, t: PhaseTime) {
+        self.workers[phase as usize].merge(t);
     }
-}
 
-/// Clears accumulated phase data (global table and the calling thread's
-/// in-flight accumulator). Test isolation; call with no scopes open.
-pub fn reset() {
-    TLS.with(|tls| {
-        let mut t = tls.borrow_mut();
-        t.acc.clear();
-        t.depth = 0;
-        t.path = 0;
-    });
-    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-    // Shrink site: `mem::take` releases the table's nodes.
-    drop(std::mem::take(&mut *totals));
+    /// Adds every phase of `other` to this one.
+    pub fn merge(&mut self, other: &PhaseTimes) {
+        for phase in PHASES {
+            self.add(phase, other.caller[phase as usize]);
+            self.add_on_workers(phase, other.workers[phase as usize]);
+        }
+    }
+
+    /// `phase`'s time on the thread that runs the command.
+    pub fn get(&self, phase: Phase) -> PhaseTime {
+        self.caller[phase as usize]
+    }
+
+    /// `phase`'s time on worker threads.
+    pub fn on_workers(&self, phase: Phase) -> PhaseTime {
+        self.workers[phase as usize]
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -296,9 +172,10 @@ pub struct PhaseLine {
     pub path: Vec<&'static str>,
     /// Time attributed to exactly this path (children excluded).
     pub self_ns: u64,
-    /// Scope entries.
+    /// Timed entries.
     pub enters: u64,
-    /// Scope exits (== `enters` once all scopes are closed).
+    /// Timed exits; every timing that starts also stops, so this
+    /// equals `enters`.
     pub exits: u64,
 }
 
@@ -312,37 +189,34 @@ pub struct ProfReport {
     pub lines: Vec<PhaseLine>,
 }
 
-fn decode_path(mut path: u64) -> Vec<&'static str> {
-    let mut codes = Vec::new();
-    while path != 0 {
-        codes.push((path & 0xff) as u8);
-        path >>= 8;
-    }
-    codes.reverse();
-    codes
-        .into_iter()
-        .filter_map(|c| c.checked_sub(1).and_then(Phase::from_code))
-        .map(Phase::name)
-        .collect()
-}
-
 impl ProfReport {
-    /// Builds a report from the global table (draining it) against the
-    /// given measured wall time.
-    pub fn take(wall_ns: u64) -> Self {
-        let drained = {
-            let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *totals)
+    /// Builds a report from `times` against the given measured wall
+    /// time. Phases with no calls get no line; `run`'s self time is its
+    /// time less that of its children, the phases timed on its thread.
+    pub fn new(wall_ns: u64, times: &PhaseTimes) -> Self {
+        let line = |path: Vec<&'static str>, self_ns: u64, t: PhaseTime| PhaseLine {
+            path,
+            self_ns,
+            enters: t.calls,
+            exits: t.calls,
         };
-        let mut lines: Vec<PhaseLine> = drained
-            .into_iter()
-            .map(|(path, stat)| PhaseLine {
-                path: decode_path(path),
-                self_ns: stat.self_ns,
-                enters: stat.enters,
-                exits: stat.exits,
-            })
-            .collect();
+        let mut lines = Vec::new();
+        let mut children_ns = 0u64;
+        for phase in &PHASES[1..] {
+            let t = times.get(*phase);
+            if t.calls > 0 {
+                children_ns += t.ns;
+                lines.push(line(vec![Phase::Run.name(), phase.name()], t.ns, t));
+            }
+            let t = times.on_workers(*phase);
+            if t.calls > 0 {
+                lines.push(line(vec![phase.name()], t.ns, t));
+            }
+        }
+        let run = times.get(Phase::Run);
+        if run.calls > 0 {
+            lines.push(line(vec![Phase::Run.name()], run.ns.saturating_sub(children_ns), run));
+        }
         lines.sort_by(|a, b| a.path.cmp(&b.path));
         ProfReport { wall_ns, lines }
     }
@@ -433,21 +307,27 @@ impl ProfReport {
 // ---------------------------------------------------------------------
 // Stopwatch
 
-/// A plain monotonic host-time stopwatch (progress lines, ETA math).
+/// A plain monotonic host-time stopwatch (phase times, progress lines,
+/// ETA math).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    start_ns: u64,
+    start: HostInstant,
 }
 
 impl Stopwatch {
     /// Starts timing now.
     pub fn start() -> Self {
-        Stopwatch { start_ns: now_ns() }
+        Stopwatch { start: HostInstant::now() }
     }
 
     /// Nanoseconds elapsed since [`start`](Self::start).
     pub fn elapsed_ns(&self) -> u64 {
-        now_ns().saturating_sub(self.start_ns)
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// One call lasting from [`start`](Self::start) until now.
+    pub fn lap(&self) -> PhaseTime {
+        PhaseTime::once(self.elapsed_ns())
     }
 
     /// Seconds elapsed since [`start`](Self::start).
@@ -478,11 +358,13 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[derive(Debug)]
 pub struct Heartbeat {
     every_ns: u64,
-    started_ns: u64,
+    started: Stopwatch,
+    /// When the last beat fired, in nanoseconds after `started`.
     last_beat_ns: u64,
     total: Option<u64>,
     file: Option<PathBuf>,
     beats: u64,
+    time: PhaseTime,
 }
 
 impl Heartbeat {
@@ -490,14 +372,14 @@ impl Heartbeat {
     /// (expected completions) enables ETA; `file` names a Prometheus
     /// textfile to rewrite atomically on each beat.
     pub fn new(every_secs: f64, total: Option<u64>, file: Option<&Path>) -> Self {
-        let now = now_ns();
         Heartbeat {
             every_ns: (every_secs.max(0.01) * 1e9) as u64,
-            started_ns: now,
-            last_beat_ns: now,
+            started: Stopwatch::start(),
+            last_beat_ns: 0,
             total,
             file: file.map(Path::to_path_buf),
             beats: 0,
+            time: PhaseTime::default(),
         }
     }
 
@@ -506,18 +388,23 @@ impl Heartbeat {
         self.beats
     }
 
+    /// Host time spent emitting beats, one call per beat.
+    pub fn time(&self) -> PhaseTime {
+        self.time
+    }
+
     /// Emits a beat if the interval has elapsed. `p90_ms` is only
     /// invoked when a beat actually fires (it may be costly).
     /// Returns true if a beat was emitted.
     pub fn maybe_beat(&mut self, completed: u64, p90_ms: impl FnOnce() -> f64) -> bool {
-        let now = now_ns();
+        let now = self.started.elapsed_ns();
         if now.saturating_sub(self.last_beat_ns) < self.every_ns {
             return false;
         }
-        let _hb = scope(Phase::Heartbeat);
+        let beat = Stopwatch::start();
         self.last_beat_ns = now;
         self.beats += 1;
-        let elapsed_s = (now.saturating_sub(self.started_ns)) as f64 / 1e9;
+        let elapsed_s = now as f64 / 1e9;
         let rate = completed as f64 / elapsed_s.max(1e-9);
         let p90 = p90_ms();
         let rss = peak_rss_kb().unwrap_or(0);
@@ -542,6 +429,7 @@ impl Heartbeat {
         if let Some(path) = self.file.clone() {
             self.write_textfile(&path, completed, rate, p90, rss, eta_s);
         }
+        self.time.merge(beat.lap());
         true
     }
 
@@ -583,74 +471,27 @@ impl Heartbeat {
 mod tests {
     use super::*;
 
-    /// Profiling state is process-global; tests that touch it serialize
-    /// on this lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
-    fn disabled_scope_records_nothing() {
-        let _g = locked();
-        disable();
-        reset();
-        {
-            let _s = scope(Phase::Run);
-            let _t = scope(Phase::CostModel);
-        }
-        let r = ProfReport::take(1);
-        assert!(r.lines.is_empty());
-    }
-
-    #[test]
-    fn nested_scopes_attribute_self_time_without_double_counting() {
-        let _g = locked();
-        reset();
-        enable();
-        {
-            let _run = scope(Phase::Run);
-            for _ in 0..3 {
-                let _p = scope(Phase::RunPoint);
-                std::hint::black_box(0u64);
-            }
-        }
-        disable();
-        let r = ProfReport::take(now_ns());
-        let run: Vec<_> = r.lines.iter().filter(|l| l.path == ["run"]).collect();
-        let point: Vec<_> = r
-            .lines
-            .iter()
-            .filter(|l| l.path == ["run", "run_point"])
-            .collect();
-        assert_eq!(run.len(), 1);
-        assert_eq!(point.len(), 1);
-        assert_eq!(run[0].enters, 1);
-        assert_eq!(run[0].exits, 1);
-        assert_eq!(point[0].enters, 3);
-        assert_eq!(point[0].exits, 3);
-        // run's *total* covers its children; self never double counts.
-        assert!(r.total_ns(0) >= point[0].self_ns);
-    }
-
-    #[test]
-    fn depth_overflow_is_a_balanced_no_op() {
-        let _g = locked();
-        reset();
-        enable();
-        {
-            let mut guards = Vec::new();
-            for _ in 0..(MAX_DEPTH + 4) {
-                guards.push(scope(Phase::CostModel));
-            }
-        }
-        disable();
-        let r = ProfReport::take(now_ns());
-        for l in &r.lines {
-            assert_eq!(l.enters, l.exits, "unbalanced at {:?}", l.path);
-            assert!(l.path.len() <= MAX_DEPTH);
-        }
+    fn report_nests_caller_phases_under_run_and_roots_worker_phases() {
+        let mut times = PhaseTimes::default();
+        times.add(Phase::Run, PhaseTime::once(10_000));
+        times.add(Phase::Plan, PhaseTime::once(1_000));
+        times.add(Phase::ExecIdle, PhaseTime::once(6_000));
+        times.add_on_workers(Phase::RunPoint, PhaseTime { ns: 11_000, calls: 3 });
+        let r = ProfReport::new(12_000, &times);
+        let paths: Vec<_> = r.lines.iter().map(|l| l.path.join(";")).collect();
+        assert_eq!(paths, ["run", "run;exec_idle", "run;plan", "run_point"]);
+        // run's self time excludes its children; worker time is its own
+        // root and may take attributed time past wall.
+        assert_eq!(r.lines[0].self_ns, 3_000);
+        assert_eq!(r.total_ns(0), 10_000);
+        assert_eq!(r.lines[3].enters, 3);
+        assert_eq!(r.attributed_ns(), 21_000);
+        assert!((r.coverage_pct() - 100.0).abs() < 1e-9);
+        let mut twice = times;
+        twice.merge(&times);
+        assert_eq!(twice.on_workers(Phase::RunPoint), PhaseTime { ns: 22_000, calls: 6 });
+        assert_eq!(twice.get(Phase::Run).calls, 2);
     }
 
     #[test]
@@ -683,7 +524,6 @@ mod tests {
 
     #[test]
     fn heartbeat_fires_on_interval_and_writes_textfile() {
-        let _g = locked();
         let dir = std::env::temp_dir().join(format!("prof-hb-{}", std::process::id()));
         let _ = fs::create_dir_all(&dir);
         let file = dir.join("hb.prom");
@@ -695,6 +535,7 @@ mod tests {
         }
         assert!(hb.maybe_beat(50, || 0.5));
         assert_eq!(hb.beats(), 1);
+        assert_eq!(hb.time().calls, 1);
         let body = fs::read_to_string(&file).unwrap();
         assert!(body.contains("repro_requests_completed 50"));
         assert!(body.contains("repro_heartbeats_total 1"));

@@ -27,7 +27,8 @@
 # throughput floor: the timing wheel must not be slower than the
 # heap), the self-profiler gates (the deterministic counter export must
 # be byte-identical across runs and --jobs values, a --profile smoke
-# run must attribute >= 95% of wall time to phases, the same run must
+# run must attribute >= 95% of wall time to phases and time at most
+# 2 * points + 4 phase entries, the same run must
 # locate at most 1.25 blocks per media plan, and a 10^6-request
 # `repro scale --heartbeat 1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
@@ -165,7 +166,7 @@ jq -n --argjson h "$heap_min" --argjson w "$wheel_min" \
 echo "==> gate: self-profile counter export byte-identical across runs and --jobs"
 # Two serial runs must produce byte-identical counters.json; a --jobs 2
 # run must match on the "deterministic" section (the "host" section —
-# worker count, steals — legitimately varies and is quarantined there).
+# jobs, workers spawned — legitimately varies and is quarantined there).
 target/release/repro limit --requests 2000 --jobs 1 --profile "$sweep_dir/prof1" >/dev/null 2>&1
 target/release/repro limit --requests 2000 --jobs 1 --profile "$sweep_dir/prof2" >/dev/null 2>&1
 target/release/repro limit --requests 2000 --jobs 2 --profile "$sweep_dir/prof3" >/dev/null 2>&1
@@ -182,6 +183,17 @@ coverage=$(jq '.results[0].coverage_pct' "$sweep_dir/prof1/BENCH_profile.json")
 echo "    phase coverage ${coverage}%"
 jq -n --argjson c "$coverage" \
   'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'
+
+echo "==> gate: --profile phase calls <= 2 * points_run + 4 (no per-request timing)"
+# The executor times one run_point per point and one plan and one
+# reduce per study, and repro times the run: this one-study run sums to
+# 11 calls over 8 points. Timing anything per request adds thousands
+# (the per-request scopes this replaced summed to 89128 here).
+calls=$(jq '[.results[1:][].calls] | add' "$sweep_dir/prof1/BENCH_profile.json")
+points=$(jq '.deterministic["experiments.points_run"]' "$sweep_dir/prof1/counters.json")
+echo "    ${calls} phase calls over ${points} points"
+jq -n --argjson c "$calls" --argjson p "$points" \
+  'if $c <= 2 * $p + 4 then empty else error("profile timed more than 2 * points + 4 phase entries") end'
 
 echo "==> gate: locates per media plan <= 1.25 (intradisk.cost.locates / plan_evals)"
 # The device model locates each request once, when it is submitted, and

@@ -1,15 +1,16 @@
 //! Self-profiler oracles: counter-export determinism, the pinned
-//! collapsed-stack format, and scope-balance properties.
+//! collapsed-stack format, and the executor's phase-time properties.
 //!
-//! Counters and the profiler are process-global, so every test here
-//! serializes on one lock and resets the global state it touches.
+//! The counters are process-global, so every test that runs a study
+//! serializes on one lock and resets the counters it reads.
 
 use std::sync::Mutex;
 
+use diskmodel::DriveError;
 use experiments::configs::Scale;
-use experiments::{Executor, LimitStudy, Study};
+use experiments::{Executor, ExperimentPlan, LimitStudy, Study};
 use simkit::Rng64;
-use telemetry::prof::{self, Phase, PHASES};
+use telemetry::prof::{Phase, PhaseTimes, ProfReport, Stopwatch};
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
@@ -36,6 +37,18 @@ fn run_limit_study(jobs: usize) -> String {
     det_section(jobs)
 }
 
+/// Runs `study` on `exec` as `repro --profile` does: the whole call is
+/// the `run` phase, the executor's phase times nest under it.
+fn profiled_run<S: Study>(study: &S, scale: Scale, exec: &Executor) -> ProfReport {
+    let clock = Stopwatch::start();
+    study.run(scale, exec).expect("study runs");
+    let run = clock.lap();
+    let mut times = PhaseTimes::default();
+    times.add(Phase::Run, run);
+    times.merge(&exec.times());
+    ProfReport::new(run.ns, &times)
+}
+
 #[test]
 fn counter_export_is_identical_across_runs_and_jobs() {
     let _g = lock();
@@ -55,18 +68,8 @@ fn counter_export_is_identical_across_runs_and_jobs() {
 #[test]
 fn folded_stack_format_is_pinned() {
     let _g = lock();
-    prof::reset();
-    prof::enable();
-    {
-        let _run = prof::scope(Phase::Run);
-        {
-            let _point = prof::scope(Phase::RunPoint);
-            let _cost = prof::scope(Phase::CostModel);
-        }
-        let _reduce = prof::scope(Phase::Reduce);
-    }
-    prof::disable();
-    let report = prof::ProfReport::take(1_000_000);
+    let scale = Scale::quick().with_requests(200);
+    let report = profiled_run(&LimitStudy::all(), scale, &Executor::serial());
     let folded = report.folded();
     let lines: Vec<&str> = folded.lines().collect();
     // One line per distinct path: `a;b;c <self-µs>`, parents sorted
@@ -77,12 +80,7 @@ fn folded_stack_format_is_pinned() {
         .collect();
     assert_eq!(
         paths,
-        [
-            "run",
-            "run;reduce",
-            "run;run_point",
-            "run;run_point;cost_model"
-        ],
+        ["run", "run;plan", "run;reduce", "run;run_point"],
         "collapsed-stack paths changed: {folded:?}"
     );
     for l in &lines {
@@ -92,48 +90,74 @@ fn folded_stack_format_is_pinned() {
     }
 }
 
-/// Random nesting always balances: every path's enters equal its
-/// exits, and attributed self-time never exceeds the elapsed wall.
+/// A study of `.0` points, each a short spin.
+struct Spin(u64);
+
+impl Study for Spin {
+    type Point = u64;
+    type Output = u64;
+    type Report = u64;
+
+    fn name(&self) -> &'static str {
+        "spin"
+    }
+
+    fn plan(&self, _scale: Scale) -> ExperimentPlan<u64> {
+        ExperimentPlan::new((0..self.0).collect())
+    }
+
+    fn label(&self, point: &u64) -> String {
+        format!("spin {point}")
+    }
+
+    fn run_point(&self, point: &u64, _scale: Scale) -> Result<u64, DriveError> {
+        let mut acc = *point;
+        for k in 0..(1 + point % 7) * 5_000 {
+            acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+        }
+        Ok(acc)
+    }
+
+    fn reduce(&self, outputs: Vec<u64>) -> u64 {
+        outputs.into_iter().fold(0, u64::wrapping_add)
+    }
+}
+
+/// Over random plan sizes at `--jobs` 1–3, the executor times one
+/// `run_point` per point, every line's enters equal its exits, and at
+/// `--jobs 1` the attributed time never exceeds the wall time.
 #[test]
 fn random_scope_nesting_balances() {
     let _g = lock();
-
-    fn nest(rng: &mut Rng64, depth: u32) {
-        let phase = PHASES[rng.below(PHASES.len() as u64) as usize];
-        let _s = prof::scope(phase);
-        if depth >= 12 {
-            return; // deeper than MAX_DEPTH: must still balance as no-ops
-        }
-        let children = rng.below(3);
-        for _ in 0..children {
-            nest(rng, depth + 1);
-        }
-    }
-
-    for seed in 0..8u64 {
-        prof::reset();
-        prof::enable();
-        let clock = prof::Stopwatch::start();
-        let mut rng = Rng64::new(0xC0FFEE ^ seed);
-        for _ in 0..50 {
-            nest(&mut rng, 0);
-        }
-        let wall = clock.elapsed_ns();
-        prof::disable();
-        let report = prof::ProfReport::take(wall.max(1));
+    let mut rng = Rng64::new(0xC0FFEE);
+    for case in 0..12u64 {
+        let points = rng.below(20);
+        let jobs = 1 + rng.below(3) as usize;
+        let report = profiled_run(&Spin(points), Scale::quick(), &Executor::new(jobs));
+        let mut point_calls = 0;
         let mut attributed = 0u64;
         for line in &report.lines {
             assert_eq!(
                 line.enters, line.exits,
-                "unbalanced scope at {:?} (seed {seed})",
+                "unbalanced phase at {:?} (case {case})",
                 line.path
             );
+            if line.path.last() == Some(&"run_point") {
+                point_calls += line.enters;
+            }
             attributed += line.self_ns;
         }
-        assert_eq!(attributed, report.attributed_ns());
-        assert!(
-            attributed <= wall.max(1),
-            "self-time {attributed} exceeds wall {wall} (seed {seed})"
+        assert_eq!(
+            point_calls, points,
+            "run_point calls differ from the plan's {points} points (case {case}, jobs {jobs})"
         );
+        assert_eq!(attributed, report.attributed_ns());
+        if jobs == 1 {
+            assert!(
+                attributed <= report.wall_ns,
+                "attributed {attributed} exceeds wall {} (case {case})",
+                report.wall_ns
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@ fn scale() -> Scale {
 
 // Each helper drives its study through the parallel executor (2 jobs:
 // the Study contract makes the result independent of the worker count,
-// so these double as coverage of the work-stealing path).
+// so these double as coverage of the parallel path).
 fn exec() -> Executor {
     Executor::new(2)
 }
